@@ -219,10 +219,10 @@ fn main() {
     // envelopes) and a timed phase whose pushes draw only recycled
     // envelopes. Consumers sleep on the gate during the timed phase, so
     // the number isolates what the producer pays per event for the
-    // off-thread hand-off: one envelope copy + ring push per branch.
-    // Steady state keeps the rings shallow (the consumers keep up), so
+    // off-thread hand-off: one envelope copy + queue push per branch.
+    // Steady state keeps the queues shallow (the consumers keep up), so
     // the producer is measured in cache-hot chunks of at most half the
-    // ring: consumers parked while a chunk is pushed (timed), then
+    // queue: consumers parked while a chunk is pushed (timed), then
     // released to drain it (untimed). The warm-up/measure split is
     // chunk-aligned so the sync and queued variants time the same
     // frames.
@@ -323,8 +323,8 @@ fn main() {
         let mut chunks = Vec::new();
         while f < frames {
             let chunk_end = (f + chunk_frames).min(frames);
-            // Chunks before the split warm the envelope pools, ring
-            // slots, and consumer-side buffers; chunks after it are
+            // Chunks before the split warm the envelope pools, queue
+            // storage, and consumer-side buffers; chunks after it are
             // the measurement.
             let timing = f >= split;
             gate_set(&gate, true);
@@ -359,8 +359,17 @@ fn main() {
                 chunks.push(ns / ev as f64);
             }
             gate_set(&gate, false);
+            // Wait until every pushed event is delivered, not just
+            // popped: a consumer still inside its last delivery when
+            // the next chunk closes the gate would hold that event
+            // behind the gate, and the primer would wait forever for
+            // it to pop the next one.
             for q in [&tee.0 .0, &tee.0 .1, &tee.0 .2] {
-                while q.stats().depth > 0 {
+                loop {
+                    let stats = q.stats();
+                    if stats.delivered == stats.pushed {
+                        break;
+                    }
                     std::thread::yield_now();
                 }
             }

@@ -9,7 +9,7 @@
 //!   aborting the frame with [`FleetStats`] untouched, exactly like a
 //!   synchronous sink error;
 //! * [`QueuePolicy::DropOldest`]'s drop counter is exact under forced
-//!   overflow (consumer gated, ring filled, evictions counted one by
+//!   overflow (consumer gated, queue filled, evictions counted one by
 //!   one).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -142,7 +142,7 @@ impl FleetSink for FailingSink {
 fn consumer_error_surfaces_on_next_push_with_stats_unchanged() {
     let mut eng = engine(2);
     let mut frame = eng.frame();
-    // A tiny ring forces backpressure, so the consumer is guaranteed to
+    // A tiny queue forces backpressure, so the consumer is guaranteed to
     // run (and latch the error) while frames are still being pushed —
     // without it the producer could finish all frames before the
     // consumer is ever scheduled.
@@ -184,16 +184,35 @@ fn consumer_error_surfaces_on_next_push_with_stats_unchanged() {
         "the failing frame must leave FleetStats untouched"
     );
 
-    // Every later push keeps failing (rendered copy of the first error).
-    fill(&mut frame, t + 1);
-    let err = eng
-        .ingest_frame_sink(&frame, &mut queue)
-        .expect_err("a failed branch must stay failed");
+    // Every later push keeps failing (rendered copy of the first
+    // error). Not every frame pushes: under the gap pattern some frames
+    // complete no window, so feed frames until one emits an event.
+    let mut repeat = None;
+    for t in t + 1..FRAMES {
+        fill(&mut frame, t);
+        let before = eng.stats();
+        match eng.ingest_frame_sink(&frame, &mut queue) {
+            Ok(()) => assert_eq!(
+                eng.stats().events,
+                before.events,
+                "frame {t} pushed into a failed branch without an error"
+            ),
+            Err(err) => {
+                repeat = Some((err, before));
+                break;
+            }
+        }
+    }
+    let (err, before) = repeat.expect("a failed branch must stay failed");
     assert!(
         err.to_string().contains("detector exploded"),
         "repeat error lost the original cause: {err}"
     );
-    assert_eq!(eng.stats(), before);
+    assert_eq!(
+        eng.stats(),
+        before,
+        "the repeat failure must leave FleetStats untouched"
+    );
 
     // Joining after the error has been surfaced reports a clean join.
     let (_sink, res) = queue.join();
@@ -201,7 +220,7 @@ fn consumer_error_surfaces_on_next_push_with_stats_unchanged() {
 }
 
 /// Holds the consumer inside `on_event` until released, so a test can
-/// fill the ring deterministically.
+/// fill the queue deterministically.
 struct Gate {
     entered: Arc<AtomicBool>,
     hold: Arc<AtomicBool>,
@@ -250,10 +269,10 @@ fn drop_oldest_counter_is_exact_under_forced_overflow() {
         },
     };
 
-    // e0 goes straight through the ring into the (gated) consumer.
+    // e0 goes straight through the queue into the (gated) consumer.
     queue.on_event(&event(0)).unwrap();
     wait_for(&entered);
-    // e1..e4 fill the ring exactly; no eviction yet.
+    // e1..e4 fill the queue exactly; no eviction yet.
     for i in 1..=4 {
         queue.on_event(&event(i)).unwrap();
     }
@@ -266,13 +285,13 @@ fn drop_oldest_counter_is_exact_under_forced_overflow() {
     let stats = queue.stats();
     assert_eq!(stats.dropped, 3, "one eviction per overflowing push");
     assert_eq!(stats.pushed, 8, "every push was accepted");
-    assert_eq!(stats.depth, 4, "ring stays full");
+    assert_eq!(stats.depth, 4, "queue stays full");
     assert_eq!(stats.high_watermark, 4);
 
     hold.store(false, Ordering::Release);
     let (gate, res) = queue.join();
     res.unwrap();
-    // Survivors: the in-flight e0 plus the final ring e4..e7 — exactly
+    // Survivors: the in-flight e0 plus the final queue e4..e7 — exactly
     // the drop-oldest semantics (old events go, fresh ones stay).
     let survivors: Vec<usize> = gate.inner.events().iter().map(|e| e.window_index).collect();
     assert_eq!(survivors, vec![0, 4, 5, 6, 7]);

@@ -2,16 +2,16 @@
 //! [`cwsmooth_core::transport::QueueSink`].
 //!
 //! Each seed drives one producer/consumer run with pseudo-random
-//! `yield_now` injection on *both* sides of the ring, perturbing the
+//! `yield_now` injection on *both* sides of the queue, perturbing the
 //! interleaving between the producer's push path (including DropOldest
-//! eviction) and the consumer's pop/park loop.  At quiescence every run
+//! eviction) and the consumer's pop/wait loop.  At quiescence every run
 //! must satisfy the conservation identity
 //!
 //! ```text
 //! pushed == delivered + dropped + depth
 //! ```
 //!
-//! and `join()` must drain the ring and return cleanly.  The default
+//! and `join()` must drain the queue and return cleanly.  The default
 //! sweep is 64 seeds per policy; CI sets `TRANSPORT_STRESS_SEEDS=8` for
 //! a fast subset (the seed *values* are identical prefixes, so a CI
 //! failure always reproduces locally).
@@ -53,7 +53,7 @@ fn seed_count() -> u64 {
 }
 
 /// Counts deliveries and yields a seed-derived number of times per
-/// event, stretching the consumer's time inside `on_event` so the ring
+/// event, stretching the consumer's time inside `on_event` so the queue
 /// cycles through empty, full, and eviction-contended states.
 struct JitterSink {
     rng: SplitMix,
@@ -99,7 +99,7 @@ fn event(node: usize, window_index: usize) -> FleetEvent {
 /// quiescence and after `join()`.
 fn stress_one(seed: u64, policy: QueuePolicy) {
     let mut rng = SplitMix::new(seed);
-    // Small rings overflow constantly, which is the point.
+    // Small queues overflow constantly, which is the point.
     let capacity = 2 + (rng.next() % 7) as usize;
     let nodes = 1 + (rng.next() % 3) as usize;
     let delivered = Arc::new(AtomicU64::new(0));
@@ -122,18 +122,19 @@ fn stress_one(seed: u64, policy: QueuePolicy) {
         }
     }
 
-    // Quiescence: the identity must hold on a *stable* snapshot — two
-    // consecutive reads that agree and balance.  A single read can
-    // legitimately tear (delivered incremented between loading
-    // `delivered` and `depth`), so only a repeated balanced snapshot
-    // counts.
+    // Quiescence: the identity must hold on a *drained, stable*
+    // snapshot — two consecutive reads that agree, balance, and find
+    // the queue empty.  While events are still queued the consumer is
+    // still delivering: the event it is handing to the sink counts
+    // neither in `depth` nor in `delivered`, so any later read would
+    // tear.  Only an empty queue with nothing in flight is quiescent.
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let a = queue.stats();
         let b = queue.stats();
         let balanced =
             a.pushed == a.delivered + a.dropped + a.depth as u64 && a.delivered == b.delivered;
-        if balanced && a.depth == b.depth && a.dropped == b.dropped {
+        if balanced && a.depth == 0 && b.depth == 0 && a.dropped == b.dropped {
             break;
         }
         assert!(
@@ -153,14 +154,14 @@ fn stress_one(seed: u64, policy: QueuePolicy) {
     if matches!(policy, QueuePolicy::Block) {
         assert_eq!(before.dropped, 0, "Block must never drop (seed {seed})");
     }
-    // `stats().capacity` is the ring's power-of-two rounding of the
-    // requested capacity; the watermark is bounded by that, not by the
-    // request.
-    assert!(before.high_watermark <= before.capacity);
+    // The queue holds exactly the requested capacity, and the
+    // watermark never exceeds it.
+    assert_eq!(before.capacity, capacity);
+    assert!(before.high_watermark <= capacity);
 
     let (sink, res) = queue.join();
     res.unwrap_or_else(|e| panic!("seed {seed} ({policy:?}): join surfaced {e}"));
-    // join() drains the ring, so the envelope count must now balance
+    // join() drains the queue, so the envelope count must now balance
     // with depth 0 — and the sink's own counter must agree with the
     // transport's.
     let delivered_total = sink.delivered.load(Ordering::Relaxed);

@@ -17,18 +17,13 @@
 //!   dependency-free JSON output.
 //! * [`rules`] — the eight workspace rules (see
 //!   [`rules::RULE_NAMES`]).
-//! * [`race`] — the `race-audit` subcommand's model: deterministic
-//!   schedule exploration of the transport ring's producer/consumer
-//!   protocol with vector-clock race detection.
 //!
 //! The crate has zero dependencies and is wired into CI as
-//! `cargo run -p cwsmooth-lint -- --workspace` plus
-//! `cargo run -p cwsmooth-lint -- race-audit`.
+//! `cargo run -p cwsmooth-lint -- --workspace`.
 
 #![warn(missing_docs)]
 
 pub mod diag;
 pub mod lexer;
-pub mod race;
 pub mod rules;
 pub mod scope;

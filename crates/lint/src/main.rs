@@ -4,25 +4,19 @@
 //! cwsmooth-lint --workspace [--format text|json] [--root DIR]
 //! cwsmooth-lint [FILE.rs ...] [--format text|json]
 //! cwsmooth-lint --list-rules
-//! cwsmooth-lint race-audit [--schedules N]
 //! ```
 //!
-//! Exit code 0 means clean; 1 means diagnostics (or a race-audit
-//! violation); 2 means usage or I/O error.
+//! Exit code 0 means clean; 1 means diagnostics; 2 means usage or I/O
+//! error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use cwsmooth_lint::diag::{to_json, Diagnostic};
-use cwsmooth_lint::race;
 use cwsmooth_lint::rules::{check_file, RULE_NAMES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("race-audit") {
-        return race_audit(&args[1..]);
-    }
-
     let mut format_json = false;
     let mut workspace = false;
     let mut root: Option<PathBuf> = None;
@@ -115,8 +109,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: cwsmooth-lint --workspace [--format text|json] [--root DIR]\n\
          \x20      cwsmooth-lint [FILE.rs ...] [--format text|json]\n\
-         \x20      cwsmooth-lint --list-rules\n\
-         \x20      cwsmooth-lint race-audit [--schedules N]"
+         \x20      cwsmooth-lint --list-rules"
     );
     if err.is_empty() {
         ExitCode::SUCCESS
@@ -163,65 +156,4 @@ fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
-}
-
-/// `race-audit`: explore the transport-ring protocol model across the
-/// default configuration matrix; any violation (data race, conservation
-/// failure, bad drop accounting, broken error latch, deadlock) fails
-/// the run with the schedule that produced it.
-fn race_audit(args: &[String]) -> ExitCode {
-    let mut budget: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--schedules" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => budget = Some(n),
-                None => return usage("--schedules expects a number"),
-            },
-            other => return usage(&format!("unknown race-audit flag {other}")),
-        }
-    }
-
-    let started = std::time::Instant::now();
-    let mut total_schedules = 0u64;
-    let mut total_steps = 0u64;
-    let mut failed = false;
-    for (name, mut cfg) in race::default_matrix() {
-        if let Some(n) = budget {
-            cfg.max_schedules = n;
-        }
-        let report = race::explore(cfg);
-        total_schedules += report.schedules;
-        total_steps += report.steps;
-        match &report.violation {
-            None => {
-                println!(
-                    "race-audit: {name}: ok ({} schedules, {} steps{})",
-                    report.schedules,
-                    report.steps,
-                    if report.exhausted { ", exhausted" } else { "" }
-                );
-            }
-            Some((v, schedule)) => {
-                failed = true;
-                println!(
-                    "race-audit: {name}: VIOLATION after {} schedules: {v:?}",
-                    report.schedules
-                );
-                println!(
-                    "race-audit: reproducing schedule (thread per branch point): {schedule:?}"
-                );
-            }
-        }
-    }
-    println!(
-        "race-audit: {total_schedules} schedules / {total_steps} steps across {} configs in {:?}",
-        race::default_matrix().len(),
-        started.elapsed()
-    );
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The ingest thread only copies each event into a recycled envelope
-//! and pushes it onto three rings — persistence, classification and
+//! and pushes it onto three queues — persistence, classification and
 //! drift checks happen concurrently on their own threads. Per-branch
 //! FIFO order means the consumer sinks see exactly the event sequence
 //! the synchronous `fleet_pipeline` example delivers, so the scorecard
@@ -327,7 +327,7 @@ fn main() {
         per_class: vec![(0, 0); KINDS.len() + 1],
         first_hit: vec![None; eval_segments],
     };
-    // One ring per branch. Block on full: the ODA verdicts must see
+    // One queue per branch. Block on full: the ODA verdicts must see
     // every event, so backpressure (not shedding) is the right policy
     // when the classifier momentarily lags a signature burst.
     let cfg = QueueConfig {

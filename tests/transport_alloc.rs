@@ -2,7 +2,7 @@
 //! full delivery tree moved behind bounded queues —
 //! `Tee(Queue(SignatureStore), Queue(StreamingDetector),
 //! Queue(DriftMonitor))` — the **producer path** (frame ingest,
-//! signature emission, envelope refill from the free queue, ring push)
+//! signature emission, envelope refill from the recycle pool, queue push)
 //! allocates **zero** heap bytes in steady state. Consumer threads own
 //! the sinks and their costs; the ingest thread only copies into
 //! recycled `FleetEventBuf` envelopes.
@@ -80,7 +80,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const NODES: usize = 8;
 const SENSORS: usize = 5;
 const L: usize = 3;
-/// Ring capacity per branch: larger than any burst this test pushes, so
+/// Queue capacity per branch: larger than any burst this test pushes, so
 /// the block policy never engages and the warm-up burst can mint more
 /// envelopes than the measurement window consumes.
 const CAPACITY: usize = 4096;
@@ -96,7 +96,7 @@ fn fill(frame: &mut cwsmooth::core::fleet::FleetFrame, t: usize) {
 }
 
 /// Wraps a sink so the test can stall the consumer thread on demand
-/// (forcing envelopes to pile up in the ring during pre-warming).
+/// (forcing envelopes to pile up in the queue during pre-warming).
 struct Gate<S> {
     hold: Arc<AtomicBool>,
     inner: S,
@@ -114,7 +114,10 @@ impl<S: FleetSink> FleetSink for Gate<S> {
 fn wait_drained<S>(queue: &QueueSink<S>) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while queue.stats().depth > 0 {
-        assert!(Instant::now() < deadline, "consumer never drained the ring");
+        assert!(
+            Instant::now() < deadline,
+            "consumer never drained the queue"
+        );
         std::thread::yield_now();
     }
 }
@@ -191,7 +194,7 @@ fn steady_state_threaded_producer_path_performs_no_heap_allocation() {
     // ---- Warm-up 2 (consumers gated): push a burst bigger than the
     // measurement window so each branch mints (and warms) more
     // envelopes than the measurement can ever need; then release and
-    // let everything recycle into the free queues. ----
+    // let everything recycle into the envelope pools. ----
     hold.store(true, Ordering::Release);
     let burst_start = engine.stats().events;
     while engine.stats().events - burst_start < 2000 {
