@@ -102,9 +102,15 @@ impl Pipe {
     }
 
     /// Reads up to `buf.len()` bytes, blocking (bounded by `timeout`
-    /// when set) until data, close, or timeout. A closed-and-drained
-    /// pipe reads `Ok(0)` (EOF).
-    fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
+    /// when set) until data, close, or timeout; with `nonblocking`, an
+    /// empty open pipe fails with [`io::ErrorKind::WouldBlock`] at once.
+    /// A closed-and-drained pipe reads `Ok(0)` (EOF).
+    fn read(
+        &self,
+        buf: &mut [u8],
+        timeout: Option<Duration>,
+        nonblocking: bool,
+    ) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
@@ -128,6 +134,12 @@ impl Pipe {
             }
             if state.closed {
                 return Ok(0);
+            }
+            if nonblocking {
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    "chaos pipe empty",
+                ));
             }
             state = match timeout {
                 Some(t) => {
@@ -182,6 +194,8 @@ pub struct ChaosLink {
     dead: Arc<AtomicBool>,
     faults: Option<Faults>,
     read_timeout: Option<Duration>,
+    /// Reads fail with `WouldBlock` instead of waiting.
+    nonblocking: bool,
 }
 
 impl ChaosLink {
@@ -214,7 +228,7 @@ impl io::Read for ChaosLink {
                 "chaos connection reset",
             ));
         }
-        self.inp.read(buf, self.read_timeout)
+        self.inp.read(buf, self.read_timeout, self.nonblocking)
     }
 }
 
@@ -274,6 +288,13 @@ impl Link for ChaosLink {
     }
 
     fn set_write_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Governs reads only. Writes still wait while the pipe is full,
+    /// which [`Link`] allows: callers write in blocking mode only.
+    fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
+        self.nonblocking = nonblocking;
         Ok(())
     }
 }
@@ -410,6 +431,7 @@ impl Dial for ChaosDialer {
                 cfg: self.cfg,
             }),
             read_timeout: None,
+            nonblocking: false,
         };
         let server = ChaosLink {
             out: s2c,
@@ -417,6 +439,7 @@ impl Dial for ChaosDialer {
             dead,
             faults: None,
             read_timeout: None,
+            nonblocking: false,
         };
         state.pending.push_back(server);
         drop(state);

@@ -5,11 +5,15 @@
 //! (cwsmooth_core::transport::QueueSink). Underneath it keeps an
 //! at-least-once pipeline with bounded everything:
 //!
-//! - **Sending.** Events become single-block data frames with
-//!   consecutive sequence numbers; up to [`NetConfig::max_inflight`]
-//!   ride unacknowledged. The server acks cumulatively after committing
-//!   downstream, so an acked event can never be lost by a consumer
-//!   crash.
+//! - **Sending.** Each event becomes one data frame holding a
+//!   one-event `.cws` block, with consecutive sequence numbers; up to
+//!   [`NetConfig::max_inflight`] ride unacknowledged. The server acks
+//!   cumulatively after committing downstream, so an acked event can
+//!   never be lost by a consumer crash. Sending is pipelined: every
+//!   `max_inflight / 8` sends the sink harvests the acks already
+//!   buffered on the socket without waiting, and it blocks for an ack
+//!   only when the window is full (or while draining in
+//!   [`SocketSink::finish`]).
 //! - **Disconnection.** Writes and connects have bounded timeouts.
 //!   On any connection fault the sink latches nothing: unacked inflight
 //!   events requeue for replay, the connection is retried under capped
@@ -60,8 +64,6 @@ pub struct NetConfig {
     /// Bound on waiting for an ack (handshake reply, full in-flight
     /// window, shutdown drain). Expiry counts as a connection fault.
     pub ack_timeout: Duration,
-    /// Bound for opportunistic (non-blocking-ish) ack polls.
-    pub poll_timeout: Duration,
     /// First reconnect delay; doubles per consecutive failure.
     pub backoff_base: Duration,
     /// Cap on the exponential reconnect delay (before ±50% jitter).
@@ -87,7 +89,6 @@ impl Default for NetConfig {
             connect_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
             ack_timeout: Duration::from_secs(5),
-            poll_timeout: Duration::from_millis(1),
             backoff_base: Duration::from_millis(50),
             backoff_max: Duration::from_secs(2),
             jitter_seed: 0x5EED,
@@ -433,48 +434,46 @@ impl SocketSink {
         }
     }
 
-    /// Reads at most one server frame. `Ok(true)` means an ack arrived
-    /// (retiring the covered in-flight events); `Ok(false)` means the
-    /// line was idle. A reject is fatal; anything else unexpected is a
-    /// fault of this connection.
-    fn poll_acks(&mut self, wait: bool) -> Result<bool> {
-        let first = if wait {
-            self.cfg.ack_timeout
-        } else {
-            self.cfg.poll_timeout
-        };
-        let complete_within = self.cfg.ack_timeout;
+    /// Blocks up to `ack_timeout` for the next server frame. `Ok(true)`
+    /// means an ack arrived (retiring the covered in-flight events);
+    /// `Ok(false)` means the line stayed idle.
+    fn wait_ack(&mut self) -> Result<bool> {
+        let timeout = self.cfg.ack_timeout;
         let Some(conn) = self.conn.as_mut() else {
             return Ok(false);
         };
-        let acked_seq =
-            match conn
-                .reader
-                .read_frame(conn.link.as_mut(), Some(first), complete_within)?
-            {
-                ReadOutcome::Idle => return Ok(false),
-                ReadOutcome::Eof => {
-                    return Err(NetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )));
-                }
-                ReadOutcome::Frame(f) => match f.kind {
-                    FrameKind::Ack => f.seq,
-                    FrameKind::Reject => {
-                        return Err(NetError::Handshake(
-                            String::from_utf8_lossy(f.payload).into_owned(),
-                        ));
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "unexpected {other:?} frame from server"
-                        )));
-                    }
-                },
-            };
-        self.retire(acked_seq);
-        Ok(true)
+        let acked = ack_seq(
+            conn.reader
+                .read_frame(conn.link.as_mut(), Some(timeout), timeout)?,
+        )?;
+        if let Some(seq) = acked {
+            self.retire(seq);
+        }
+        Ok(acked.is_some())
+    }
+
+    /// Retires up to the highest ack already buffered on the link,
+    /// without waiting: the link reads non-blocking for the harvest and
+    /// is blocking again on every path out, before the next write.
+    fn harvest_acks(&mut self) -> Result<()> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Ok(());
+        };
+        conn.link.set_nonblocking(true)?;
+        let mut highest = None;
+        let drained = loop {
+            match conn.reader.poll_frame(conn.link.as_mut()).and_then(ack_seq) {
+                Ok(Some(seq)) => highest = Some(seq),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        let restored = conn.link.set_nonblocking(false);
+        if let Some(seq) = highest {
+            self.retire(seq);
+        }
+        drained?;
+        Ok(restored?)
     }
 
     /// Encodes and writes one data frame. The event joins `inflight`
@@ -504,15 +503,15 @@ impl SocketSink {
         self.inflight.push_back((seq, ev));
         conn.link.write_all(&self.frame_buf)?;
         self.stats.sent += 1;
-        // Opportunistic harvest every few sends: without it acks are
-        // only read once the window is *full*, and a lossy link that
-        // kills connections young starves `retire` forever — the
-        // window never fills before the next fault, so replays loop
-        // without ever being credited. The poll blocks at most
-        // `poll_timeout` and returns as soon as an ack is buffered.
+        // Harvest every few sends: without it acks are only read once
+        // the window is *full*, and a lossy link that kills connections
+        // young starves `retire` forever — the window never fills
+        // before the next fault, so replays loop without ever being
+        // credited. The harvest never waits, so the window keeps
+        // streaming while the server commits.
         let stride = (self.cfg.max_inflight / 8).max(1);
         if self.inflight.len().is_multiple_of(stride) {
-            self.poll_acks(false)?;
+            self.harvest_acks()?;
         }
         Ok(())
     }
@@ -522,10 +521,9 @@ impl SocketSink {
     /// progress (call again), `Ok(false)` = nothing sendable remains.
     fn drive_sends(&mut self) -> Result<bool> {
         if self.inflight.len() >= self.cfg.max_inflight {
-            // Producer backpressure, bounded by ack_timeout: in steady
-            // state the server's cumulative acks are already buffered
-            // on the socket and this returns immediately.
-            if self.poll_acks(true)? {
+            // Producer backpressure, bounded by ack_timeout: the only
+            // place a streaming sink waits for the server.
+            if self.wait_ack()? {
                 return Ok(true);
             }
             return Err(NetError::Timeout(format!(
@@ -653,7 +651,7 @@ impl SocketSink {
             // ack (the server acks everything and closes on bye).
             self.send_bye()?;
         }
-        if self.poll_acks(true)? {
+        if self.wait_ack()? {
             return Ok(());
         }
         Err(NetError::Timeout(format!(
@@ -717,6 +715,28 @@ impl SocketSink {
         let deadline = Instant::now() + timeout;
         let result = self.finish_inner(deadline);
         (self.stats(), result)
+    }
+}
+
+/// What one read from the server means to the sender: `Ok(Some(seq))`
+/// for a cumulative ack, `Ok(None)` when no frame was there. A reject
+/// is fatal; a close or any other frame is a fault of this connection.
+fn ack_seq(outcome: ReadOutcome<'_>) -> Result<Option<u64>> {
+    match outcome {
+        ReadOutcome::Idle => Ok(None),
+        ReadOutcome::Eof => Err(NetError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        ))),
+        ReadOutcome::Frame(f) => match f.kind {
+            FrameKind::Ack => Ok(Some(f.seq)),
+            FrameKind::Reject => Err(NetError::Handshake(
+                String::from_utf8_lossy(f.payload).into_owned(),
+            )),
+            other => Err(NetError::Protocol(format!(
+                "unexpected {other:?} frame from server"
+            ))),
+        },
     }
 }
 

@@ -17,11 +17,21 @@ use std::time::Duration;
 /// `read` must return `Ok(0)` at end-of-stream and an error of kind
 /// [`io::ErrorKind::WouldBlock`] or [`io::ErrorKind::TimedOut`] when a
 /// read timeout elapses before the first byte.
+///
+/// A link is blocking unless switched with [`Link::set_nonblocking`].
+/// In non-blocking mode a `read` that finds no data returns
+/// [`io::ErrorKind::WouldBlock`] at once, whatever the read timeout; a
+/// read that finds some data returns it. Writes are only guaranteed in
+/// blocking mode, so a caller switches back before it writes. The
+/// switch leaves the timeouts as they were.
 pub trait Link: io::Read + io::Write + Send {
     /// Bounds every subsequent read; `None` blocks indefinitely.
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
     /// Bounds every subsequent write; `None` blocks indefinitely.
     fn set_write_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
+    /// Switches reads between non-blocking (`true`) and blocking
+    /// (`false`) mode, per the trait docs.
+    fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()>;
 }
 
 /// Client-side connection factory (one per [`crate::SocketSink`]).
@@ -45,6 +55,10 @@ impl Link for TcpStream {
 
     fn set_write_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         TcpStream::set_write_timeout(self, timeout)
+    }
+
+    fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
     }
 }
 
@@ -130,6 +144,10 @@ mod unix {
 
         fn set_write_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
             UnixStream::set_write_timeout(self, timeout)
+        }
+
+        fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
+            UnixStream::set_nonblocking(self, nonblocking)
         }
     }
 

@@ -287,6 +287,9 @@ impl Server {
     /// [`NetError::Protocol`] (sequence gap, misplaced frame),
     /// [`NetError::Sink`] (downstream failure — fatal), or I/O faults.
     pub fn serve_conn<S: NetSink>(&mut self, link: &mut dyn Link, sink: &mut S) -> Result<ConnEnd> {
+        // A previous connection may have died mid-frame: its bytes and
+        // its link's read timeout must not carry over to this one.
+        self.reader.reset();
         link.set_write_timeout(Some(self.cfg.frame_timeout))?;
         let mut helloed = false;
         let mut prev_seq = 0u64;
@@ -637,6 +640,71 @@ mod tests {
         assert_eq!(got, vec![(3, 7), (3, 8), (3, 9)]);
         assert_eq!(events[0].signature.re, vec![0.5, 1.5]);
         assert_eq!(events[0].signature.im, vec![2.5, 3.5]);
+    }
+
+    #[test]
+    fn connection_dropped_mid_frame_does_not_poison_the_next() {
+        let hub = ChaosHub::new();
+        let mut dialer = hub.dialer(ChaosConfig::default());
+        let mut acceptor = hub.acceptor();
+        let cfg = ServerConfig {
+            ack_every: 2,
+            stop_on_bye: true,
+            ..ServerConfig::default()
+        };
+        let c = codec();
+        let server_thread = std::thread::spawn(move || {
+            let mut server = Server::new(c, cfg).unwrap();
+            let mut events: Vec<FleetEvent> = Vec::new();
+            server.serve(&mut acceptor, &mut events).unwrap();
+            (server.stats(), events)
+        });
+        // First connection: hello, then half a data frame, then gone.
+        let mut link = dialer.dial(Duration::from_secs(1)).unwrap();
+        let mut reader = FrameReader::new();
+        write_frame(link.as_mut(), FrameKind::Hello, 0, &wire::hello_payload(&c));
+        assert_eq!(
+            read_frame_kind(&mut reader, link.as_mut()),
+            (FrameKind::Ack, 0)
+        );
+        let mut frame = Vec::new();
+        wire::encode_frame(&mut frame, FrameKind::Data, 1, &data_payload(&c, 3, 7, 0.5)).unwrap();
+        link.write_all(&frame[..frame.len() / 2]).unwrap();
+        drop(link);
+        // Second connection to the same server: a fresh stream.
+        let mut link = dialer.dial(Duration::from_secs(1)).unwrap();
+        let mut reader = FrameReader::new();
+        write_frame(link.as_mut(), FrameKind::Hello, 0, &wire::hello_payload(&c));
+        assert_eq!(
+            read_frame_kind(&mut reader, link.as_mut()),
+            (FrameKind::Ack, 0)
+        );
+        for (seq, window) in [(1u64, 7u64), (2, 8)] {
+            write_frame(
+                link.as_mut(),
+                FrameKind::Data,
+                seq,
+                &data_payload(&c, 3, window, 0.5),
+            );
+        }
+        assert_eq!(
+            read_frame_kind(&mut reader, link.as_mut()),
+            (FrameKind::Ack, 2)
+        );
+        write_frame(link.as_mut(), FrameKind::Bye, 2, &[]);
+        assert_eq!(
+            read_frame_kind(&mut reader, link.as_mut()),
+            (FrameKind::Ack, 2)
+        );
+        drop(link);
+        let (stats, events) = server_thread.join().unwrap();
+        assert_eq!(stats.connections, 2);
+        assert_eq!(
+            stats.failed_connections, 1,
+            "only the torn connection failed"
+        );
+        let got: Vec<(usize, usize)> = events.iter().map(|e| (e.node, e.window_index)).collect();
+        assert_eq!(got, vec![(3, 7), (3, 8)]);
     }
 
     #[test]

@@ -118,11 +118,32 @@ pub fn encode_frame(out: &mut Vec<u8>, kind: FrameKind, seq: u64, payload: &[u8]
     Ok(())
 }
 
+/// Bytes one link read may fill: room for hundreds of event frames.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Validated frame header fields (before payload and CRC are read).
+#[derive(Clone, Copy)]
 struct FrameHeader {
     kind: FrameKind,
     seq: u64,
     payload_len: usize,
+}
+
+impl FrameHeader {
+    /// Whole frame length: header, payload and CRC.
+    fn len(self) -> usize {
+        FRAME_HEADER_LEN + self.payload_len + 4
+    }
+
+    /// The view of this frame, which starts `bytes` and was verified
+    /// by [`split_frame`].
+    fn view(self, bytes: &[u8]) -> FrameView<'_> {
+        FrameView {
+            kind: self.kind,
+            seq: self.seq,
+            payload: &bytes[FRAME_HEADER_LEN..self.len() - 4],
+        }
+    }
 }
 
 /// Validates the 20 fixed header bytes at stream offset `offset`.
@@ -167,6 +188,46 @@ fn parse_frame_header(h: &[u8], offset: u64) -> Result<FrameHeader> {
     })
 }
 
+/// What [`split_frame`] found at the start of a byte slice.
+enum Split {
+    /// A whole frame with a valid header and CRC.
+    Whole(FrameHeader),
+    /// Only the first bytes of a frame; it needs `need` bytes in all
+    /// (the header length until the header is complete).
+    Partial { need: usize },
+}
+
+/// Checks the frame that starts `bytes`, at stream offset `offset`:
+/// header fields and payload bound as soon as the header is complete,
+/// then the CRC once the whole frame is there. The one parser behind
+/// [`parse_frame`] and [`FrameReader`].
+fn split_frame(bytes: &[u8], offset: u64) -> Result<Split> {
+    if bytes.len() < FRAME_HEADER_LEN {
+        return Ok(Split::Partial {
+            need: FRAME_HEADER_LEN,
+        });
+    }
+    let header = parse_frame_header(&bytes[..FRAME_HEADER_LEN], offset)?;
+    let total = header.len();
+    if bytes.len() < total {
+        return Ok(Split::Partial { need: total });
+    }
+    let stored = u32::from_le_bytes([
+        bytes[total - 4],
+        bytes[total - 3],
+        bytes[total - 2],
+        bytes[total - 1],
+    ]);
+    let actual = codec::crc32(&bytes[..total - 4]);
+    if stored != actual {
+        return Err(NetError::Corrupt {
+            offset: offset + total as u64 - 4,
+            message: format!("frame CRC mismatch (stored {stored:08x}, computed {actual:08x})"),
+        });
+    }
+    Ok(Split::Whole(header))
+}
+
 /// Parses the frame starting at byte `at` of `bytes`. Returns
 /// `Ok(None)` at a clean end of stream (`at == bytes.len()`); anything
 /// between a frame boundary and a full valid frame is
@@ -176,66 +237,66 @@ pub fn parse_frame(bytes: &[u8], at: usize) -> Result<Option<(FrameView<'_>, usi
     if at == bytes.len() {
         return Ok(None);
     }
-    let header = parse_frame_header(
-        &bytes[at..(at + FRAME_HEADER_LEN).min(bytes.len())],
-        at as u64,
-    )?;
-    let total = FRAME_HEADER_LEN + header.payload_len + 4;
-    let avail = bytes.len() - at;
-    if avail < total {
-        return Err(NetError::Corrupt {
+    let rest = &bytes[at..];
+    match split_frame(rest, at as u64)? {
+        Split::Whole(header) => Ok(Some((header.view(rest), at + header.len()))),
+        Split::Partial { need } => Err(NetError::Corrupt {
             offset: bytes.len() as u64,
-            message: format!("frame truncated ({avail} of {total} bytes)"),
-        });
+            message: format!("frame truncated ({} of {need} bytes)", rest.len()),
+        }),
     }
-    let frame = &bytes[at..at + total];
-    let stored = u32::from_le_bytes([
-        frame[total - 4],
-        frame[total - 3],
-        frame[total - 2],
-        frame[total - 1],
-    ]);
-    let actual = codec::crc32(&frame[..total - 4]);
-    if stored != actual {
-        return Err(NetError::Corrupt {
-            offset: at as u64 + total as u64 - 4,
-            message: format!("frame CRC mismatch (stored {stored:08x}, computed {actual:08x})"),
-        });
-    }
-    Ok(Some((
-        FrameView {
-            kind: header.kind,
-            seq: header.seq,
-            payload: &frame[FRAME_HEADER_LEN..total - 4],
-        },
-        at + total,
-    )))
 }
 
-/// Outcome of one [`FrameReader::read_frame`] call.
+/// Outcome of one [`FrameReader::read_frame`] or
+/// [`FrameReader::poll_frame`] call.
 #[derive(Debug)]
 pub enum ReadOutcome<'a> {
     /// A complete, CRC-verified frame.
     Frame(FrameView<'a>),
     /// The peer closed the stream at a frame boundary.
     Eof,
-    /// The first-byte timeout elapsed with no data (only when a
-    /// first-byte timeout was requested).
+    /// No whole frame yet: the first-byte timeout elapsed with no data
+    /// (only when a first-byte timeout was requested), or a
+    /// non-blocking read found nothing more. Bytes of a partial frame
+    /// stay buffered for the next call.
     Idle,
 }
 
-/// Incremental frame reader over a [`Link`], reusing one buffer.
+/// How a read waits when the buffer holds no whole frame.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Blocking link: `first_byte` bounds the wait for a frame's first
+    /// byte (`None` waits forever), `complete_within` the rest.
+    Timed {
+        first_byte: Option<Duration>,
+        complete_within: Duration,
+    },
+    /// Non-blocking link: report [`ReadOutcome::Idle`] at the first
+    /// read that would block.
+    Never,
+}
+
+/// Incremental frame reader over a [`Link`], reading through one buffer.
 ///
-/// Validation is shared with [`parse_frame`]: the same header checks,
-/// the same payload bound, the same CRC. End-of-stream anywhere except
-/// a frame boundary is [`NetError::Corrupt`]; a read timeout *after*
-/// the first byte of a frame is [`NetError::Timeout`] (a stalled peer
-/// mid-frame is a connection fault, not idleness).
+/// One `read` fills up to 64 KiB, and every whole frame in the buffer
+/// is parsed out of it before the link is read again, so a stream of
+/// small frames costs a fraction of a syscall per frame. Validation is
+/// shared with [`parse_frame`]: the same header checks, the same
+/// payload bound, the same CRC. End-of-stream anywhere except a frame
+/// boundary is [`NetError::Corrupt`]; a read timeout *after* the first
+/// byte of a frame is [`NetError::Timeout`] (a stalled peer mid-frame
+/// is a connection fault, not idleness). The link's read timeout is
+/// set only when the wanted timeout changes.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Bytes read from the link; `buf[start..end]` is not parsed yet.
     buf: Vec<u8>,
-    /// Cumulative bytes consumed, for error offsets.
+    start: usize,
+    end: usize,
+    /// Stream offset of `buf[start]`, for error offsets.
     consumed: u64,
+    /// Read timeout last set on the link; `None` until the first set.
+    timeout: Option<Option<Duration>>,
 }
 
 impl FrameReader {
@@ -244,142 +305,128 @@ impl FrameReader {
         Self::default()
     }
 
-    /// Discards any partially-read frame and resets the stream offset.
+    /// Discards buffered bytes, resets the stream offset and forgets
+    /// the link's read timeout.
     ///
     /// Call this when switching the reader to a *new* connection: a
     /// previous connection that died mid-frame leaves a stale prefix in
     /// the buffer, and parsing the new peer's bytes against it would
-    /// reject every frame the new connection sends.
+    /// reject every frame the new connection sends; the new link's
+    /// timeout is not the one the reader last set.
     pub fn reset(&mut self) {
-        self.buf.clear();
+        self.start = 0;
+        self.end = 0;
         self.consumed = 0;
+        self.timeout = None;
     }
 
-    /// Reads exactly `buf.len()` bytes. EOF before the first byte is
-    /// [`Fill::Eof`]; a timeout before the first byte is [`Fill::Idle`]
-    /// when `allow_idle` (else [`NetError::Timeout`]); EOF or a timeout
-    /// *after* the first byte is always an error.
-    fn read_full(
-        link: &mut dyn Link,
-        buf: &mut [u8],
-        offset: u64,
-        complete_within: Duration,
-        allow_idle: bool,
-    ) -> Result<Fill> {
-        let mut got = 0usize;
-        while got < buf.len() {
-            match link.read(&mut buf[got..]) {
-                Ok(0) => {
-                    if got == 0 {
-                        return Ok(Fill::Eof);
-                    }
-                    return Err(NetError::Corrupt {
-                        offset: offset + got as u64,
-                        message: format!("stream ended mid-frame ({got} of {} bytes)", buf.len()),
-                    });
-                }
-                Ok(n) => {
-                    if got == 0 {
-                        // First byte landed: the rest of the frame must
-                        // follow promptly, however patient the caller
-                        // was about idleness.
-                        link.set_read_timeout(Some(complete_within))?;
-                    }
-                    got += n;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if got == 0 && allow_idle {
-                        return Ok(Fill::Idle);
-                    }
-                    return Err(NetError::Timeout(format!(
-                        "peer stalled mid-frame ({got} of {} bytes)",
-                        buf.len()
-                    )));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
-        Ok(Fill::Full)
-    }
-
-    /// Reads the next frame. `first_byte` bounds the wait for the
-    /// frame's first byte (`None` blocks indefinitely);
-    /// `complete_within` bounds the rest of the frame once started.
+    /// Reads the next frame from a blocking link. `first_byte` bounds
+    /// the wait for the frame's first byte (`None` blocks
+    /// indefinitely); `complete_within` bounds the rest of the frame
+    /// once started.
     pub fn read_frame(
         &mut self,
         link: &mut dyn Link,
         first_byte: Option<Duration>,
         complete_within: Duration,
     ) -> Result<ReadOutcome<'_>> {
-        link.set_read_timeout(first_byte)?;
-        let offset = self.consumed;
-        self.buf.clear();
-        self.buf.resize(FRAME_HEADER_LEN, 0);
-        let filled = Self::read_full(
+        self.next_frame(
             link,
-            &mut self.buf[..],
-            offset,
-            complete_within,
-            first_byte.is_some(),
-        );
-        match filled? {
-            Fill::Full => {}
-            Fill::Eof => return Ok(ReadOutcome::Eof),
-            Fill::Idle => return Ok(ReadOutcome::Idle),
-        }
-        let header = parse_frame_header(&self.buf, offset)?;
-        let total = FRAME_HEADER_LEN + header.payload_len + 4;
-        self.buf.resize(total, 0);
-        let (_, tail) = self.buf.split_at_mut(FRAME_HEADER_LEN);
-        match Self::read_full(
-            link,
-            tail,
-            offset + FRAME_HEADER_LEN as u64,
-            complete_within,
-            false,
-        )? {
-            Fill::Full => {}
-            Fill::Eof | Fill::Idle => {
-                return Err(NetError::Corrupt {
-                    offset: offset + FRAME_HEADER_LEN as u64,
-                    message: "stream ended between frame header and payload".into(),
-                });
+            Wait::Timed {
+                first_byte,
+                complete_within,
+            },
+        )
+    }
+
+    /// Reads the next frame from a link in non-blocking mode
+    /// ([`Link::set_nonblocking`]) without waiting: a frame already
+    /// buffered or readable now, else [`ReadOutcome::Idle`] with any
+    /// partial frame kept for the next call.
+    pub fn poll_frame(&mut self, link: &mut dyn Link) -> Result<ReadOutcome<'_>> {
+        self.next_frame(link, Wait::Never)
+    }
+
+    fn next_frame(&mut self, link: &mut dyn Link, wait: Wait) -> Result<ReadOutcome<'_>> {
+        loop {
+            let have = self.end - self.start;
+            let need = match split_frame(&self.buf[self.start..self.end], self.consumed)? {
+                Split::Whole(header) => {
+                    let at = self.start;
+                    self.start += header.len();
+                    self.consumed += header.len() as u64;
+                    return Ok(ReadOutcome::Frame(header.view(&self.buf[at..])));
+                }
+                Split::Partial { need } => need,
+            };
+            self.make_room(need);
+            if let Wait::Timed {
+                first_byte,
+                complete_within,
+            } = wait
+            {
+                // Once a frame's first byte landed, the rest must follow
+                // promptly, however patient the caller is about idleness.
+                let timeout = if have == 0 {
+                    first_byte
+                } else {
+                    Some(complete_within)
+                };
+                self.set_timeout(link, timeout)?;
+            }
+            match link.read(&mut self.buf[self.end..]) {
+                Ok(0) if have == 0 => return Ok(ReadOutcome::Eof),
+                Ok(0) => {
+                    return Err(NetError::Corrupt {
+                        offset: self.consumed + have as u64,
+                        message: format!("stream ended mid-frame ({have} of {need} bytes)"),
+                    });
+                }
+                Ok(n) => self.end += n,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return match wait {
+                        Wait::Never => Ok(ReadOutcome::Idle),
+                        Wait::Timed {
+                            first_byte: Some(_),
+                            ..
+                        } if have == 0 => Ok(ReadOutcome::Idle),
+                        Wait::Timed { .. } => Err(NetError::Timeout(format!(
+                            "peer stalled mid-frame ({have} of {need} bytes)"
+                        ))),
+                    };
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetError::Io(e)),
             }
         }
-        let stored = u32::from_le_bytes([
-            self.buf[total - 4],
-            self.buf[total - 3],
-            self.buf[total - 2],
-            self.buf[total - 1],
-        ]);
-        let actual = codec::crc32(&self.buf[..total - 4]);
-        if stored != actual {
-            return Err(NetError::Corrupt {
-                offset: offset + total as u64 - 4,
-                message: format!("frame CRC mismatch (stored {stored:08x}, computed {actual:08x})"),
-            });
-        }
-        self.consumed = offset + total as u64;
-        Ok(ReadOutcome::Frame(FrameView {
-            kind: header.kind,
-            seq: header.seq,
-            payload: &self.buf[FRAME_HEADER_LEN..total - 4],
-        }))
     }
-}
 
-/// Result of filling a fixed-size buffer from a link.
-enum Fill {
-    /// Buffer completely filled.
-    Full,
-    /// Peer closed before the first byte.
-    Eof,
-    /// First-byte timeout elapsed with the link still open.
-    Idle,
+    /// Moves the unparsed bytes (at most one partial frame) to the
+    /// front and sizes the buffer for a frame of `need` bytes plus a
+    /// full read.
+    fn make_room(&mut self, need: usize) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let want = need.max(READ_CHUNK);
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+    }
+
+    /// Sets the link's read timeout unless it is already `timeout`.
+    fn set_timeout(&mut self, link: &mut dyn Link, timeout: Option<Duration>) -> Result<()> {
+        if self.timeout != Some(timeout) {
+            link.set_read_timeout(timeout)?;
+            self.timeout = Some(timeout);
+        }
+        Ok(())
+    }
 }
 
 /// Builds the hello payload: wire version + geometry header.

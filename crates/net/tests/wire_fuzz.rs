@@ -6,11 +6,21 @@
 //! altered frame. These loops are exhaustive over the stream, not
 //! sampled: each of the `8 * len` possible bit flips and each of the
 //! `len` possible truncation points is tried.
+//!
+//! The buffered [`FrameReader`] is pinned against [`parse_frame`] over
+//! a scripted [`Link`]: every chunking of the stream yields the same
+//! frames, every truncation splits into `Eof` and `Corrupt` at the same
+//! points, and a non-blocking read keeps a partial frame buffered.
 
 use cwsmooth_data::WindowSpec;
-use cwsmooth_net::wire::{encode_frame, parse_frame, parse_hello, FrameKind, FRAME_HEADER_LEN};
-use cwsmooth_net::{BlockCodec, NetError};
+use cwsmooth_net::wire::{
+    encode_frame, parse_frame, parse_hello, FrameKind, FrameReader, ReadOutcome, FRAME_HEADER_LEN,
+};
+use cwsmooth_net::{BlockCodec, Link, NetError};
 use cwsmooth_store::Encoding;
+use std::collections::VecDeque;
+use std::io;
+use std::time::Duration;
 
 fn codec() -> BlockCodec {
     BlockCodec::new(Encoding::Exact, 2, WindowSpec { wl: 30, ws: 10 }).unwrap()
@@ -192,5 +202,182 @@ fn oversized_length_is_rejected_without_allocation() {
     match parse_frame(&frame, 0) {
         Err(NetError::Corrupt { .. }) => {}
         other => panic!("oversized length gave {other:?}"),
+    }
+}
+
+/// One scripted read.
+enum Step {
+    /// Bytes to hand out (at most one caller buffer per read; the rest
+    /// stays queued). Never empty: an empty read is end of stream.
+    Bytes(Vec<u8>),
+    /// A read that finds nothing and would block.
+    WouldBlock,
+}
+
+/// A scripted [`Link`]: each read takes the next [`Step`], and reads
+/// `Ok(0)` (end of stream) once the script is spent. Counts the
+/// `set_read_timeout` calls.
+struct Script {
+    steps: VecDeque<Step>,
+    timeouts_set: usize,
+}
+
+impl Script {
+    fn new(steps: Vec<Step>) -> Self {
+        Self {
+            steps: steps.into(),
+            timeouts_set: 0,
+        }
+    }
+
+    /// `bytes` in reads of `chunk` bytes each.
+    fn chunked(bytes: &[u8], chunk: usize) -> Self {
+        Self::new(
+            bytes
+                .chunks(chunk)
+                .map(|c| Step::Bytes(c.to_vec()))
+                .collect(),
+        )
+    }
+}
+
+impl io::Read for Script {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.steps.pop_front() {
+            None => Ok(0),
+            Some(Step::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
+            Some(Step::Bytes(mut bytes)) => {
+                let n = bytes.len().min(buf.len());
+                buf[..n].copy_from_slice(&bytes[..n]);
+                if n < bytes.len() {
+                    self.steps.push_front(Step::Bytes(bytes.split_off(n)));
+                }
+                Ok(n)
+            }
+        }
+    }
+}
+
+impl io::Write for Script {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Link for Script {
+    fn set_read_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
+        self.timeouts_set += 1;
+        Ok(())
+    }
+
+    fn set_write_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn set_nonblocking(&mut self, _nonblocking: bool) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+const WAIT: Duration = Duration::from_secs(5);
+
+/// Reads `link` to its end with one [`FrameReader`], returning what
+/// [`decode_all`] returns for the same bytes.
+fn read_all(link: &mut Script) -> Result<Vec<(FrameKind, u64, Vec<u8>)>, NetError> {
+    let mut reader = FrameReader::new();
+    let mut frames = Vec::new();
+    loop {
+        match reader.read_frame(link, Some(WAIT), WAIT)? {
+            ReadOutcome::Frame(f) => frames.push((f.kind, f.seq, f.payload.to_vec())),
+            ReadOutcome::Eof => return Ok(frames),
+            ReadOutcome::Idle => panic!("a script without WouldBlock steps never idles"),
+        }
+    }
+}
+
+/// Chunks of 1, 2, 3, ... bytes, up to the whole stream in one read:
+/// the reader yields exactly the frames `parse_frame` yields, and with
+/// one timeout for the first byte and the rest it sets that timeout
+/// once, however the reads fall.
+#[test]
+fn reader_yields_parse_frame_frames_under_every_chunking() {
+    let (stream, total) = sample_stream();
+    let want = decode_all(&stream).unwrap();
+    assert_eq!(want.len(), total);
+    for chunk in 1..=stream.len() {
+        let mut link = Script::chunked(&stream, chunk);
+        let got = read_all(&mut link).unwrap_or_else(|e| panic!("chunks of {chunk}: {e}"));
+        assert_eq!(got, want, "chunks of {chunk} bytes");
+        assert_eq!(link.timeouts_set, 1, "chunks of {chunk} bytes");
+    }
+}
+
+/// The reader splits every truncation as `parse_frame` does (see
+/// [`every_truncation_is_a_boundary_or_corrupt`]): the frames before a
+/// boundary, then `Eof`; `Corrupt` anywhere else. Both in one read and
+/// byte by byte.
+#[test]
+fn reader_truncation_is_eof_at_boundaries_and_corrupt_elsewhere() {
+    let (stream, _) = sample_stream();
+    for cut in 0..=stream.len() {
+        let prefix = &stream[..cut];
+        let want = decode_all(prefix);
+        for chunk in [cut.max(1), 1] {
+            let got = read_all(&mut Script::chunked(prefix, chunk));
+            match (&want, got) {
+                (Ok(want), Ok(got)) => assert_eq!(&got, want, "cut {cut}, chunks of {chunk}"),
+                (Err(NetError::Corrupt { .. }), Err(NetError::Corrupt { .. })) => {}
+                (want, got) => panic!(
+                    "cut {cut}, chunks of {chunk}: parse_frame gave {want:?}, the reader {got:?}"
+                ),
+            }
+        }
+    }
+}
+
+/// A non-blocking read that finds half an ack frame reports `Idle` and
+/// keeps the bytes; once the rest arrives the next read returns the
+/// frame. A blocking read that stalls mid-frame is a `Timeout`.
+#[test]
+fn nonblocking_read_keeps_a_partial_frame() {
+    let mut ack = Vec::new();
+    encode_frame(&mut ack, FrameKind::Ack, 7, &[]).unwrap();
+    let (head, tail) = ack.split_at(ack.len() / 2);
+    let mut link = Script::new(vec![
+        Step::Bytes(head.to_vec()),
+        Step::WouldBlock,
+        Step::Bytes(tail.to_vec()),
+        Step::WouldBlock,
+    ]);
+    let mut reader = FrameReader::new();
+    assert!(matches!(
+        reader.poll_frame(&mut link).unwrap(),
+        ReadOutcome::Idle
+    ));
+    match reader.poll_frame(&mut link).unwrap() {
+        ReadOutcome::Frame(f) => {
+            assert_eq!((f.kind, f.seq), (FrameKind::Ack, 7));
+            assert!(f.payload.is_empty());
+        }
+        other => panic!("expected the completed ack, got {other:?}"),
+    }
+    assert!(matches!(
+        reader.poll_frame(&mut link).unwrap(),
+        ReadOutcome::Idle
+    ));
+    assert!(matches!(
+        reader.poll_frame(&mut link).unwrap(),
+        ReadOutcome::Eof
+    ));
+
+    let mut stalled = Script::new(vec![Step::Bytes(head.to_vec()), Step::WouldBlock]);
+    let mut reader = FrameReader::new();
+    match reader.read_frame(&mut stalled, Some(WAIT), WAIT) {
+        Err(NetError::Timeout(_)) => {}
+        other => panic!("a stall mid-frame gave {other:?}, not Timeout"),
     }
 }
