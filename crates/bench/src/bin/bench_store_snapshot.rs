@@ -236,19 +236,25 @@ fn main() {
         record(&format!("store_{tag}_compact_runs"), commits as f64);
 
         // Cold training (k-means + PQ, sidecar written) vs warm reopen
-        // (quantizer adopted from knn.idx). The build/scan cost is kept
-        // outside both timers so the ratio isolates re-clustering
-        // against the sidecar load.
+        // (store closed and opened again, quantizer adopted from
+        // knn.idx). The open and build/scan costs are kept outside both
+        // timers so the ratio isolates re-clustering against the
+        // sidecar load.
         let base = SignatureIndex::build(&store, Distance::L2).unwrap();
         let t0 = Instant::now();
         let index = base.with_coarse_persisted(&store, 256, 8, Some(4)).unwrap();
         let cold_ms = t0.elapsed().as_secs_f64() * 1000.0;
         assert!(!index.quantizer_cached(), "first training must be cold");
+        drop(store);
+        let store = SignatureStore::open(&dir, spec, L, cfg).unwrap();
         let base = SignatureIndex::build(&store, Distance::L2).unwrap();
         let t0 = Instant::now();
         let warm = base.with_coarse_persisted(&store, 256, 8, Some(4)).unwrap();
         let warm_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        assert!(warm.quantizer_cached(), "second training must hit knn.idx");
+        assert!(
+            warm.quantizer_cached(),
+            "training after a reopen must hit knn.idx"
+        );
         record(&format!("store_{tag}_train_cold_ms"), cold_ms);
         record(&format!("store_{tag}_train_warm_ms"), warm_ms);
         record(

@@ -7,13 +7,15 @@
 //! materialized. The per-feature split index (`SplitIndex`: argsorted
 //! sample order for the exact engine, ≤256-bin quantization for the
 //! histogram engine) is built once and shared by every tree. Trees train
-//! in parallel with rayon; prediction parallelizes over *rows*, with each
-//! row walking all trees (majority vote for classification, tree mean for
-//! regression).
+//! in parallel with rayon; batch prediction parallelizes over *rows*, with
+//! each row walking all trees (majority vote for classification, tree mean
+//! for regression). The single-row predictors — the per-event path of
+//! [`crate::streaming::StreamingDetector`] — walk the trees in lanes of
+//! eight in lockstep, so the node loads of one row overlap.
 
 use crate::error::{MlError, Result};
+use crate::tree::{walk_lockstep, SampleWeights, SplitIndex};
 use crate::tree::{Criterion, DecisionTree, MaxFeatures, SplitAlgo, TreeArena, TreeConfig};
-use crate::tree::{SampleWeights, SplitIndex};
 use cwsmooth_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -323,9 +325,7 @@ impl RandomForestClassifier {
             )));
         }
         votes.fill(0);
-        for tree in &self.trees {
-            votes[tree.predict_one(features) as usize] += 1;
-        }
+        walk_lockstep(&self.trees, features, |class| votes[class as usize] += 1);
         // Same tie resolution as the batch path: last class with the
         // maximal vote count wins.
         Ok(votes
@@ -447,7 +447,8 @@ impl RandomForestRegressor {
                 features.len()
             )));
         }
-        let sum: f64 = self.trees.iter().map(|t| t.predict_one(features)).sum();
+        let mut sum = 0.0;
+        walk_lockstep(&self.trees, features, |value| sum += value);
         Ok(sum / self.trees.len() as f64)
     }
 
@@ -594,6 +595,13 @@ mod tests {
                 rf.predict_votes_row(x.row(r), &mut votes).unwrap(),
                 batch[r]
             );
+            // The lockstep walk counts exactly the votes of one plain
+            // walk per tree.
+            let mut oracle = vec![0u32; rf.n_classes()];
+            for tree in rf.trees() {
+                oracle[tree.predict_one(x.row(r)) as usize] += 1;
+            }
+            assert_eq!(votes, oracle, "row {r}");
             let total: u32 = votes.iter().sum();
             assert_eq!(total as usize, rf.trees().len());
             let proba = rf.predict_proba_row(x.row(r)).unwrap();
@@ -620,7 +628,15 @@ mod tests {
         // Index loop keeps `r` for batch[r] and the assert messages.
         #[allow(clippy::needless_range_loop)]
         for r in 0..x.rows() {
-            assert_eq!(rr.predict_row(x.row(r)).unwrap(), batch[r], "row {r}");
+            let row = rr.predict_row(x.row(r)).unwrap();
+            assert_eq!(row.to_bits(), batch[r].to_bits(), "row {r}");
+            // One plain walk per tree, summed in tree order.
+            let oracle = rr
+                .trees()
+                .iter()
+                .fold(0.0, |sum, tree| sum + tree.predict_one(x.row(r)))
+                / rr.trees().len() as f64;
+            assert_eq!(row.to_bits(), oracle.to_bits(), "row {r}");
         }
         assert!(rr.predict_row(&[0.0]).is_err());
     }

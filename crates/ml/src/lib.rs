@@ -12,7 +12,8 @@
 //!   pre-sorted splitter and an opt-in ≤256-bin histogram fast path.
 //! * [`forest`] — bagged random forests (classifier and regressor) with
 //!   weight-based bootstrap (no per-tree matrix copies), trees trained in
-//!   parallel with rayon and row-parallel prediction.
+//!   parallel with rayon, row-parallel batch prediction, and single-row
+//!   predictors that walk the trees in lockstep.
 //! * [`mlp`] — a multi-layer perceptron with ReLU activations, softmax or
 //!   linear heads, Adam optimization and built-in feature standardization.
 //! * [`streaming`] — [`streaming::StreamingDetector`]: a fitted forest as

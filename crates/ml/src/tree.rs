@@ -29,6 +29,11 @@
 //!   edges, so trees are approximate but close; fitting is much faster on
 //!   wide/tall data.
 //!
+//! A fitted tree is one array of 16-byte nodes in which the two children
+//! of every split sit side by side, so a walk steps to `left + (goes
+//! right)`; the forests' single-row predictors walk eight trees in
+//! lockstep over these arrays.
+//!
 //! Bootstrap resampling is expressed as per-sample `u32` weights (see
 //! [`crate::forest`]) threaded through every leaf statistic and split
 //! scan — no per-tree copy of the training matrix is ever materialized.
@@ -152,18 +157,34 @@ impl TreeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        /// Class id for classification trees, mean target for regression.
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: u32,
-        right: u32,
-    },
+/// One node of a fitted tree, packed into 16 bytes.
+///
+/// The two children of a split sit side by side, the left one at `left`
+/// and the right one at `left + 1`, so a walk computes the next index
+/// as `left + (goes right)` instead of choosing between two links.
+/// Children are placed after their parent, so only a leaf can point at
+/// itself: a leaf's `left` is its own index and its `feature` is 0,
+/// which lets a lockstep walk step a finished tree in place.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Split threshold (`x[feature] <= value` goes left; NaN goes right),
+    /// or the leaf value: class id for classification trees, mean target
+    /// for regression.
+    value: f64,
+    feature: u32,
+    left: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    fn leaf(at: u32, value: f64) -> Self {
+        Node {
+            value,
+            feature: 0,
+            left: at,
+        }
+    }
 }
 
 /// A fitted CART tree.
@@ -172,7 +193,10 @@ enum Node {
 /// for regression it is the mean target of the leaf's samples.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
+    /// Children-adjacent node array; the root is node 0.
     nodes: Vec<Node>,
+    /// Depth of the deepest leaf (0 = a single leaf).
+    depth: u32,
     n_features: usize,
     criterion: Criterion,
     /// Impurity-based feature importances (mean decrease in impurity),
@@ -246,6 +270,11 @@ impl DecisionTree {
     ) -> Result<Self> {
         let n = x.rows();
         let d = x.cols();
+        if u32::try_from(d).is_err() {
+            return Err(MlError::Shape(format!(
+                "{d} features exceed the u32 feature ids of the node array"
+            )));
+        }
 
         // Active sample ids (weight > 0), ascending.
         arena.members.clear();
@@ -294,6 +323,7 @@ impl DecisionTree {
         // Size every buffer up front: node expansion must not reallocate.
         arena.nodes.clear();
         arena.nodes.reserve(2 * m + 1);
+        arena.nodes.push(Node::leaf(0, 0.0));
         arena.importances.clear();
         arena.importances.resize(d, 0.0);
         arena.goes_left.resize(n, false);
@@ -369,10 +399,12 @@ impl DecisionTree {
             node_sum: 0.0,
             node_sq: 0.0,
             gini_pairs: max_mult < (1 << 16) && n_classes <= 0xffff,
+            depth: 0,
             arena: &mut *arena,
         };
         let root_slab = builder.root_slab();
-        builder.build(0, m, 0, root_slab, rng);
+        builder.build(0, 0, m, 0, root_slab, rng);
+        let depth = builder.depth;
 
         let total: f64 = arena.importances.iter().sum();
         if total > 0.0 {
@@ -380,6 +412,7 @@ impl DecisionTree {
         }
         Ok(DecisionTree {
             nodes: arena.nodes.clone(),
+            depth,
             n_features: d,
             criterion: config.criterion,
             importances: arena.importances.clone(),
@@ -394,25 +427,22 @@ impl DecisionTree {
     }
 
     /// Predicts the raw leaf value for one sample.
+    ///
+    /// A plain walk from the root, one node at a time: the reference the
+    /// forests' lockstep row walk is tested against.
     pub fn predict_one(&self, features: &[f64]) -> f64 {
         debug_assert_eq!(features.len(), self.n_features);
-        let mut idx = 0usize;
+        let mut idx = 0u32;
         loop {
-            match &self.nodes[idx] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if features[*feature] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
+            let node = &self.nodes[idx as usize];
+            if node.left == idx {
+                return node.value;
             }
+            idx = if features[node.feature as usize] <= node.value {
+                node.left
+            } else {
+                node.left + 1
+            };
         }
     }
 
@@ -438,48 +468,79 @@ impl DecisionTree {
         self.n_features
     }
 
-    /// `(feature, threshold)` of every split node in node order, with
-    /// leaves reported as `None` — a stable structural fingerprint used by
-    /// parity tests and model inspection.
+    /// `(feature, threshold)` of every split node in pre-order (node,
+    /// left subtree, right subtree), with leaves reported as `None` — a
+    /// stable structural fingerprint used by parity tests and model
+    /// inspection.
     pub fn node_summaries(&self) -> Vec<Option<(usize, f64)>> {
-        self.nodes
-            .iter()
-            .map(|n| match n {
-                Node::Leaf { .. } => None,
-                Node::Split {
-                    feature, threshold, ..
-                } => Some((*feature, *threshold)),
-            })
+        self.preorder()
+            .map(|(is_leaf, n)| (!is_leaf).then_some((n.feature as usize, n.value)))
             .collect()
     }
 
-    /// Leaf values in node order (split nodes reported as `None`).
+    /// Leaf values in pre-order (split nodes reported as `None`).
     pub fn leaf_values(&self) -> Vec<Option<f64>> {
-        self.nodes
-            .iter()
-            .map(|n| match n {
-                Node::Leaf { value } => Some(*value),
-                Node::Split { .. } => None,
-            })
+        self.preorder()
+            .map(|(is_leaf, n)| is_leaf.then_some(n.value))
             .collect()
+    }
+
+    /// Every node with its leaf flag, in pre-order: the order the
+    /// builder visits nodes in, independent of the packed layout.
+    fn preorder(&self) -> impl Iterator<Item = (bool, Node)> + '_ {
+        let mut stack = vec![0u32];
+        std::iter::from_fn(move || {
+            let at = stack.pop()?;
+            let node = self.nodes[at as usize];
+            let is_leaf = node.left == at;
+            if !is_leaf {
+                stack.extend([node.left + 1, node.left]);
+            }
+            Some((is_leaf, node))
+        })
     }
 
     /// Maximum depth of the fitted tree (0 = a single leaf).
     pub fn depth(&self) -> usize {
-        fn depth_at(nodes: &[Node], idx: usize) -> usize {
-            match &nodes[idx] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => {
-                    1 + depth_at(nodes, *left as usize).max(depth_at(nodes, *right as usize))
-                }
-            }
-        }
-        depth_at(&self.nodes, 0)
+        self.depth as usize
     }
 
     /// Criterion the tree was trained with.
     pub fn criterion(&self) -> Criterion {
         self.criterion
+    }
+}
+
+/// Trees one lockstep walk advances together.
+const LANE: usize = 8;
+
+/// Walks every tree down to its leaf for one row of `features` and hands
+/// the leaf values to `leaf` in tree order — the same values, in the
+/// same order, as [`DecisionTree::predict_one`] on each tree.
+///
+/// Trees go in lanes of [`LANE`]. Each step moves every tree of a lane
+/// one level down, so the lane's node loads are independent of each
+/// other and overlap, instead of forming one chain of dependent loads
+/// per tree. A lane takes as many steps as its deepest tree; a tree that
+/// reaches a leaf earlier stays there, because a leaf points at itself.
+/// Every tree must have been fitted on `features.len()` features.
+pub(crate) fn walk_lockstep(trees: &[DecisionTree], features: &[f64], mut leaf: impl FnMut(f64)) {
+    for lane in trees.chunks(LANE) {
+        let mut at = [0u32; LANE];
+        let steps = lane.iter().map(|t| t.depth).max().unwrap_or(0);
+        for _ in 0..steps {
+            for (i, tree) in at.iter_mut().zip(lane) {
+                let node = tree.nodes[*i as usize];
+                // NaN fails the comparison and goes right, as in
+                // `predict_one`; a leaf stays where it is.
+                let goes_left = features[node.feature as usize] <= node.value;
+                let is_leaf = node.left == *i;
+                *i = node.left + u32::from(!(goes_left | is_leaf));
+            }
+        }
+        for (&i, tree) in at.iter().zip(lane) {
+            leaf(tree.nodes[i as usize].value);
+        }
     }
 }
 
@@ -983,6 +1044,8 @@ struct Builder<'a> {
     /// Whether exact Gini scans may use the compact pair records
     /// (multiplicities fit u16, class ids fit the payload).
     gini_pairs: bool,
+    /// Depth of the deepest leaf built so far.
+    depth: u32,
     arena: &'a mut TreeArena,
 }
 
@@ -1052,38 +1115,30 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Builds the subtree over members[lo..hi]; `slab` (if any) holds this
-    /// node's dense histograms and is returned to the pool before exit.
+    /// Builds the subtree over members[lo..hi] into node `at`, placing
+    /// the children of every split side by side at the end of the node
+    /// array. `slab` (if any) holds this node's dense histograms and is
+    /// returned to the pool before exit.
     fn build(
         &mut self,
+        at: u32,
         lo: usize,
         hi: usize,
         depth: usize,
         slab: Option<usize>,
         rng: &mut impl Rng,
-    ) -> u32 {
-        let node_id = self.arena.nodes.len() as u32;
-        self.arena.nodes.push(Node::Leaf { value: 0.0 });
-
+    ) {
         let (wn, leaf_value, pure) = self.node_stats(lo, hi);
         let stop = wn < self.config.min_samples_split as u64
             || self.config.max_depth.is_some_and(|d| depth >= d)
             || pure;
         if stop {
-            self.arena.nodes[node_id as usize] = Node::Leaf { value: leaf_value };
-            if let Some(s) = slab {
-                self.free_slab(s);
-            }
-            return node_id;
+            return self.leaf(at, leaf_value, depth, slab);
         }
 
         let best = self.find_best_split(lo, hi, wn, slab, rng);
         let Some(best) = best else {
-            self.arena.nodes[node_id as usize] = Node::Leaf { value: leaf_value };
-            if let Some(s) = slab {
-                self.free_slab(s);
-            }
-            return node_id;
+            return self.leaf(at, leaf_value, depth, slab);
         };
 
         // Partition the membership list in place (same swap order as
@@ -1129,11 +1184,7 @@ impl<'a> Builder<'a> {
         }
         if lt == lo || lt == hi {
             // Numerical degeneracy; fall back to a leaf.
-            self.arena.nodes[node_id as usize] = Node::Leaf { value: leaf_value };
-            if let Some(s) = slab {
-                self.free_slab(s);
-            }
-            return node_id;
+            return self.leaf(at, leaf_value, depth, slab);
         }
         self.arena.importances[best.feature] += (wn as f64 / self.total_weight) * best.gain;
 
@@ -1142,15 +1193,27 @@ impl<'a> Builder<'a> {
         }
         let (left_slab, right_slab) = self.child_slabs(lo, lt, hi, slab);
 
-        let left = self.build(lo, lt, depth + 1, left_slab, rng);
-        let right = self.build(lt, hi, depth + 1, right_slab, rng);
-        self.arena.nodes[node_id as usize] = Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
+        let left = self.arena.nodes.len() as u32;
+        self.arena.nodes[at as usize] = Node {
+            value: best.threshold,
+            // `fit_inner` checked that every feature id fits a u32.
+            feature: best.feature as u32,
             left,
-            right,
         };
-        node_id
+        self.arena
+            .nodes
+            .extend([Node::leaf(left, 0.0), Node::leaf(left + 1, 0.0)]);
+        self.build(left, lo, lt, depth + 1, left_slab, rng);
+        self.build(left + 1, lt, hi, depth + 1, right_slab, rng);
+    }
+
+    /// Makes node `at` a leaf and returns `slab` (if any) to the pool.
+    fn leaf(&mut self, at: u32, value: f64, depth: usize, slab: Option<usize>) {
+        self.arena.nodes[at as usize] = Node::leaf(at, value);
+        self.depth = self.depth.max(depth as u32);
+        if let Some(s) = slab {
+            self.free_slab(s);
+        }
     }
 
     /// Stable in-place partition of every feature's sorted segment
@@ -2142,10 +2205,8 @@ mod tests {
         // all cases every leaf must hold >= 5 training samples, which we can
         // check indirectly: no split threshold below 4.5 or above 14.5.
         let tree = DecisionTree::fit(&x, &y, 2, &cfg, &mut rng()).unwrap();
-        for idx in 0..tree.node_count() {
-            if let Node::Split { threshold, .. } = &tree.nodes[idx] {
-                assert!(*threshold >= 4.0 && *threshold <= 15.0);
-            }
+        for (_, threshold) in tree.node_summaries().into_iter().flatten() {
+            assert!((4.0..=15.0).contains(&threshold));
         }
     }
 
@@ -2306,5 +2367,45 @@ mod tests {
         let th = DecisionTree::fit(&x, &y, 2, &hist_cfg, &mut rng()).unwrap();
         assert_eq!(te.predict(&x).unwrap(), th.predict(&x).unwrap());
         assert_eq!(te.node_count(), th.node_count());
+    }
+
+    #[test]
+    fn fitted_nodes_place_children_side_by_side() {
+        // Labels nearly unrelated to the features: a deep, ragged tree.
+        let x = Matrix::from_fn(200, 3, |r, c| ((r * 2654435761 + c * 40503) % 1000) as f64);
+        let y: Vec<f64> = (0..200).map(|r| ((r * 7919) % 3) as f64).collect();
+        for algo in [SplitAlgo::Exact, SplitAlgo::histogram()] {
+            let cfg = TreeConfig {
+                split_algo: algo,
+                ..TreeConfig::classification()
+            };
+            let tree = DecisionTree::fit(&x, &y, 3, &cfg, &mut rng()).unwrap();
+            let nodes = &tree.nodes;
+            assert!(tree.depth() > 4, "{algo:?}: want a deep tree");
+            // Every node but the root is the child of exactly one split,
+            // and the children of a split come after it, side by side.
+            let mut parents = vec![0usize; nodes.len()];
+            for (i, n) in nodes.iter().enumerate() {
+                if n.left as usize == i {
+                    assert_eq!(n.feature, 0, "{algo:?}: leaf {i} reads feature 0");
+                    continue;
+                }
+                assert!(n.left as usize > i && (n.left as usize) < nodes.len() - 1);
+                parents[n.left as usize] += 1;
+                parents[n.left as usize + 1] += 1;
+            }
+            assert_eq!(parents[0], 0);
+            assert!(parents[1..].iter().all(|&p| p == 1), "{algo:?}");
+            // The depth recorded at fit is the longest root-to-leaf path.
+            fn depth_at(nodes: &[Node], i: usize) -> usize {
+                let n = nodes[i];
+                if n.left as usize == i {
+                    return 0;
+                }
+                let left = n.left as usize;
+                1 + depth_at(nodes, left).max(depth_at(nodes, left + 1))
+            }
+            assert_eq!(tree.depth(), depth_at(nodes, 0));
+        }
     }
 }

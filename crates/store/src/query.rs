@@ -437,7 +437,7 @@ impl SignatureIndex {
         if n == 0 || self.dim == 0 {
             return false;
         }
-        let Some(sc) = KnnSidecar::load(
+        let Some(mut sc) = KnnSidecar::load(
             store.dir(),
             fingerprint,
             self.distance.code(),
@@ -453,7 +453,7 @@ impl SignatureIndex {
         let pq = match pq_m {
             None => None,
             Some(m) => {
-                let Some(p) = &sc.pq else { return false };
+                let Some(p) = sc.pq.take() else { return false };
                 if p.m as usize != m || m > self.dim || !self.dim.is_multiple_of(m) {
                     return false;
                 }
@@ -464,8 +464,8 @@ impl SignatureIndex {
                 Some(Pq {
                     m,
                     dsub,
-                    codebooks: p.codebooks.clone(),
-                    codes: p.codes.clone(),
+                    codebooks: p.codebooks,
+                    codes: p.codes,
                 })
             }
         };
@@ -997,6 +997,59 @@ mod tests {
             .unwrap();
         assert!(!other.quantizer_cached());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn persisted_quantizer_survives_a_real_reopen() {
+        // Every open and every seal starts an empty active segment under
+        // a new id; that must not move the fingerprint, so a reopened
+        // store adopts the sidecar written before it was closed.
+        let spec = WindowSpec::new(30, 10).unwrap();
+        for seal in [false, true] {
+            let dir = tmpdir(if seal { "reopen-seal" } else { "reopen-flush" });
+            let mut store = seeded_store(&dir, 100);
+            if seal {
+                store.seal().unwrap();
+            }
+            let cold = SignatureIndex::build(&store, Distance::L2)
+                .unwrap()
+                .with_coarse_persisted(&store, 8, 10, Some(2))
+                .unwrap();
+            assert!(!cold.quantizer_cached());
+            drop(store);
+
+            let mut store = SignatureStore::open(&dir, spec, 2, StoreConfig::default()).unwrap();
+            let warm = SignatureIndex::build(&store, Distance::L2)
+                .unwrap()
+                .with_coarse_persisted(&store, 8, 10, Some(2))
+                .unwrap();
+            assert!(warm.quantizer_cached(), "seal {seal}: sidecar not adopted");
+            assert!(warm.has_pq());
+            for qi in 0..20 {
+                let t = qi as f64 * 0.41;
+                let q = [0.5 + 0.3 * t.sin(), 0.5 - 0.3 * t.cos(), 0.0, 0.01 * t];
+                assert_eq!(
+                    cold.query_indexed(&q, 10, 3).unwrap(),
+                    warm.query_indexed(&q, 10, 3).unwrap(),
+                    "seal {seal}, query {qi}"
+                );
+            }
+
+            // An event pushed after the reopen still forces a retrain.
+            let sig = CsSignature {
+                re: vec![0.42, 0.58],
+                im: vec![0.0, 0.0],
+            };
+            store.push(3, 900, &sig).unwrap();
+            store.flush().unwrap();
+            let stale = SignatureIndex::build(&store, Distance::L2)
+                .unwrap()
+                .with_coarse_persisted(&store, 8, 10, Some(2))
+                .unwrap();
+            assert!(!stale.quantizer_cached(), "seal {seal}");
+            drop(store);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

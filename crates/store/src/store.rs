@@ -993,18 +993,21 @@ impl SignatureStore {
         Ok(())
     }
 
-    /// A cheap digest of the store's readable state: FNV-1a over every
-    /// segment's `(id, events, bytes)` plus the staged-event count.
-    /// Anything that changes what a scan would return — ingest, seal,
-    /// retention, compaction, reopen after a crash — changes it. Used
-    /// by the k-NN sidecar to detect staleness.
+    /// A cheap digest of the store's readable state: FNV-1a over the
+    /// `(id, events, bytes)` of every segment that holds events, plus the
+    /// staged-event count. Anything that changes what a scan would
+    /// return — ingest, retention, compaction, reopen after a crash —
+    /// changes it. The empty active segment that every `open` and `seal`
+    /// starts under a new id is left out, so a clean reopen keeps the
+    /// digest. Used by the k-NN sidecar to detect staleness.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mix = |h: &mut u64, v: u64| {
             *h ^= v;
             *h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        for seg in self.sealed.iter().chain(std::iter::once(&self.active)) {
+        let segments = self.sealed.iter().chain(std::iter::once(&self.active));
+        for seg in segments.filter(|s| s.events > 0) {
             mix(&mut h, seg.id);
             mix(&mut h, seg.events);
             mix(&mut h, seg.bytes);
