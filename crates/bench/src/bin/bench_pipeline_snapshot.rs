@@ -278,8 +278,8 @@ fn main() {
 
     let dir = tmpdir("queued");
     // `instrument` is the observability A/B switch: the same ingest
-    // path with the engine wired to a metrics registry (per-shard
-    // ingest-span histograms + frame/event/gap counters) and every
+    // path with the engine wired to a metrics registry (sampled
+    // ingest-span histogram + frame/event/gap counters) and every
     // queue branch keeping live `cws_queue_*` series. The delta over
     // the bare variant is what the metrics plane costs the ingest
     // thread per event.
@@ -404,7 +404,7 @@ fn main() {
         100.0 * (queued_ns / sync_ns - 1.0),
     );
     // The permanent observability gate: metrics-on vs bare ingest. The
-    // instrumented arm pays per-shard span histograms, frame/event/gap
+    // instrumented arm pays the sampled span histogram, frame/event/gap
     // counters, and per-branch queue series on every push.
     record(
         "pipeline_instrumented_bare_ingest_kevents_per_s",
@@ -477,15 +477,13 @@ fn main() {
     let mut events: Vec<FleetEvent> = Vec::new();
     {
         let mut frame = engine.frame();
-        let mut out = Vec::new();
         for f in 0..frames.min(1200) {
             let t = TRAIN + f;
             frame.clear();
             for node in 0..nodes {
                 scenario.reading_into(node, t, frame.slot_mut(node).unwrap());
             }
-            engine.ingest_frame_into(&frame, &mut out).unwrap();
-            events.append(&mut out);
+            engine.ingest_frame_sink(&frame, &mut events).unwrap();
         }
     }
     let mut detector = detector_for(2 * L);

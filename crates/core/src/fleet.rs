@@ -1,5 +1,5 @@
-//! Fleet-scale streaming: thousands of per-node CS streams, sharded
-//! across workers.
+//! Fleet-scale streaming: thousands of per-node CS streams fed by
+//! batched frames.
 //!
 //! The paper's online deployment story (Sec. V) covers *one* node; a
 //! production ODA pipeline ingests telemetry from whole machine rooms. The
@@ -12,11 +12,11 @@
 //! # Architecture
 //!
 //! ```text
-//!            FleetFrame (t)                          events (t), node order
-//!   node 0 ─┐                          ┌─ shard 0: OnlineCs × n/k ─┐
-//!   node 1 ─┤  ingest_frame_sink(...)  ├─ shard 1: OnlineCs × n/k ─┤   &FleetEvent
-//!     ...   ├────────────────────────► │       ... (rayon) ...     ├─► FleetSink
-//!   node n ─┘                          └─ shard k: OnlineCs × n/k ─┘
+//!            FleetFrame (t)                        events (t), node order
+//!   node 0 ─┐                          ┌─ OnlineCs 0 ─┐
+//!   node 1 ─┤  ingest_frame_sink(...)  ├─ OnlineCs 1 ─┤  staged    &FleetEvent
+//!     ...   ├────────────────────────► │     ...      ├─────────► FleetSink
+//!   node n ─┘                          └─ OnlineCs n ─┘  pool
 //!
 //!                 the sink is usually an operator tree (crate::pipeline):
 //!
@@ -25,22 +25,23 @@
 //!                      └─► Sample(k) ─► DriftMonitor    (drift watch)
 //! ```
 //!
-//! Nodes are partitioned into contiguous shards, one per worker; every
-//! frame fans the shards out across the rayon pool (in place, via
-//! `par_iter_mut`) and merges their event buffers back in node order. The
-//! per-node hot path is the allocation-free [`OnlineCs::push_into`];
-//! per-shard event buffers are reused across frames, so per-frame
-//! bookkeeping costs O(shards), independent of the node count — the
-//! allocator is touched only for completed signatures handed to the
-//! caller and the worker fan-out itself.
+//! Every frame is one loop over the node streams, in node order, on the
+//! calling thread. A signature is cheap — a whole frame of 1,024 nodes
+//! × 8 sensors takes 140–190 µs on one core of a 2-vCPU Xeon — so
+//! handing slices of the frame to freshly spawned worker threads costs
+//! more than it saves; threads belong to the sinks
+//! ([`crate::transport::QueueSink`]). The per-node hot path is the
+//! allocation-free [`OnlineCs::push_into`], writing straight into a
+//! staged-event pool that is reused across frames, so the allocator is
+//! touched only while the pool warms up.
 //!
-//! # One ingest implementation
+//! # One ingest entry point
 //!
-//! [`FleetEngine::ingest_frame_sink`] is the *only* engine-side ingest
-//! path. [`FleetEngine::ingest_frame_into`] is a thin wrapper that hands
-//! a `Vec<FleetEvent>` (itself a [`FleetSink`] that clones events out)
-//! to the sink path, and [`FleetEngine::ingest_frame`] wraps that with a
-//! fresh vector. All three therefore emit bit-identical events — pinned
+//! [`FleetEngine::ingest_frame_sink`] is the only ingest path. A caller
+//! that wants owned events passes a `Vec<FleetEvent>` (itself a
+//! [`FleetSink`] that clones events out) or a
+//! [`Collect`](crate::pipeline::Collect); either observes events
+//! bit-identical to independent per-node [`OnlineCs`] streams — pinned
 //! by `tests/ingest_parity.rs`.
 //!
 //! # Gap handling
@@ -54,8 +55,7 @@ use crate::cs::{CsMethod, CsSignature};
 use crate::error::{CoreError, Result};
 use crate::online::OnlineCs;
 use cwsmooth_data::WindowSpec;
-use cwsmooth_obs::{Counter, Histogram, Observe, Registry, Snapshot};
-use rayon::prelude::*;
+use cwsmooth_obs::{Counter, Histogram, Registry};
 
 /// One batched time-step of fleet telemetry: a dense `nodes × n_sensors`
 /// buffer plus a per-node presence flag. Reuse one frame across time-steps
@@ -230,8 +230,8 @@ pub struct FleetStats {
 /// frames), so a sink that only inspects or copies values out keeps the
 /// whole ingest path allocation-free.
 ///
-/// Events of one frame are delivered in node order, after all shards
-/// have finished the frame. An error aborts delivery of the remaining
+/// Events of one frame are delivered in node order, after every node's
+/// stream has taken the frame. An error aborts delivery of the remaining
 /// events of that frame and is returned to the ingest caller.
 pub trait FleetSink {
     /// Receives one completed-window event.
@@ -252,9 +252,9 @@ pub trait FleetSink {
     }
 }
 
-/// Collects events by cloning them — the sink behind
-/// [`FleetEngine::ingest_frame_into`]. The vector is *not* cleared
-/// first, so it can accumulate across frames.
+/// Collects events by cloning them out of the engine's reused buffers.
+/// The vector is never cleared, so it accumulates across frames; a
+/// caller that wants one frame's events clears it before the ingest.
 impl FleetSink for Vec<FleetEvent> {
     fn on_event(&mut self, event: &FleetEvent) -> Result<()> {
         self.push(event.clone());
@@ -262,106 +262,47 @@ impl FleetSink for Vec<FleetEvent> {
     }
 }
 
-/// A contiguous slice of the fleet owned by one worker.
-#[derive(Debug)]
-struct Shard {
-    /// First node id in this shard.
-    start: usize,
-    streams: Vec<OnlineCs>,
-    /// Staged events of the current frame. Acts as a pool: only the
-    /// first `staged` entries are live; the rest keep their signature
-    /// buffers so steady-state frames never allocate.
-    events: Vec<FleetEvent>,
-    staged: usize,
-    /// Per-shard ingest latency histogram
-    /// (`cws_ingest_ns{shard="<i>"}`), set by
-    /// [`FleetEngine::attach_metrics`]; `None` keeps the path free of
-    /// timer reads.
-    ingest_ns: Option<Histogram>,
-}
-
-/// One in how many frames gets a per-shard ingest span. Spans cost two
-/// clock reads per shard; sampling keeps the instrumented hot path
-/// within the pipeline overhead budget while the histogram still sees
-/// an unbiased (frame-clocked, load-independent) slice of ingests.
+/// One in how many frames gets an ingest span. A span costs two clock
+/// reads; sampling keeps the instrumented hot path within the pipeline
+/// overhead budget while the histogram still sees an unbiased
+/// (frame-clocked, load-independent) slice of ingests.
 const SPAN_SAMPLE_EVERY: u64 = 16;
 
-impl Shard {
-    fn ingest(&mut self, frame: &FleetFrame, record_span: bool) -> Result<()> {
-        // Scoped span: records elapsed ns into the histogram on drop —
-        // i.e. when this shard's slice of the frame is done. Sampled
-        // (see `SPAN_SAMPLE_EVERY`): most frames skip the clock reads.
-        let _span = if record_span {
-            self.ingest_ns.as_ref().map(Histogram::start_span)
-        } else {
-            None
-        };
-        self.staged = 0;
-        for (i, stream) in self.streams.iter_mut().enumerate() {
-            let node = self.start + i;
-            match frame.readings(node) {
-                Some(column) => {
-                    if self.staged == self.events.len() {
-                        self.events.push(FleetEvent {
-                            node,
-                            window_index: 0,
-                            signature: CsSignature::default(),
-                        });
-                    }
-                    let slot = &mut self.events[self.staged];
-                    if stream.push_into(column, &mut slot.signature)? {
-                        slot.node = node;
-                        slot.window_index = stream.emitted() - 1;
-                        self.staged += 1;
-                    }
-                }
-                None => stream.push_gap(),
-            }
-        }
-        Ok(())
-    }
-
-    fn staged(&self) -> &[FleetEvent] {
-        &self.events[..self.staged]
-    }
-}
-
-/// Sharded multi-node streaming engine: one [`OnlineCs`] per node,
-/// partitioned across rayon workers, fed by [`FleetFrame`]s.
+/// Multi-node streaming engine: one [`OnlineCs`] per node, walked in
+/// node order on the calling thread, fed by [`FleetFrame`]s.
 #[derive(Debug)]
 pub struct FleetEngine {
-    shards: Vec<Shard>,
-    nodes: usize,
+    /// Element `i` serves node `i`.
+    streams: Vec<OnlineCs>,
+    /// Staged events of the current frame. Acts as a pool: only the
+    /// front entries `stage` counts are live; the rest keep their
+    /// signature buffers so steady-state frames never allocate.
+    events: Vec<FleetEvent>,
     n_sensors: usize,
     spec: WindowSpec,
     stats: FleetStats,
     /// Live registry handles ([`FleetEngine::attach_metrics`]); `None`
-    /// keeps the ingest path free of metric stores.
+    /// keeps the ingest path free of metric stores and timer reads.
     metrics: Option<FleetMetrics>,
 }
 
-/// Live counter handles mirroring [`FleetStats`], bumped once per frame
-/// on the ingest thread (striped relaxed adds: no lock, no allocation).
+/// Live handles mirroring [`FleetStats`], bumped once per frame on the
+/// ingest thread (striped relaxed adds: no lock, no allocation), plus
+/// the sampled ingest latency histogram.
 #[derive(Debug)]
 struct FleetMetrics {
     frames: Counter,
     events: Counter,
     gaps: Counter,
+    ingest_ns: Histogram,
 }
 
 impl FleetEngine {
     /// Creates an engine with one trained method per node (element `i`
-    /// serves node `i`), sharded across `rayon::current_num_threads()`
-    /// workers. All methods must cover the same sensor count — the frame
-    /// layout is homogeneous even though the learned models are not.
+    /// serves node `i`). All methods must cover the same sensor count —
+    /// the frame layout is homogeneous even though the learned models
+    /// are not.
     pub fn new(methods: Vec<CsMethod>, spec: WindowSpec) -> Result<Self> {
-        let shards = rayon::current_num_threads();
-        Self::with_shards(methods, spec, shards)
-    }
-
-    /// [`FleetEngine::new`] with an explicit shard count (clamped to
-    /// `1..=nodes`).
-    pub fn with_shards(methods: Vec<CsMethod>, spec: WindowSpec, shards: usize) -> Result<Self> {
         if methods.is_empty() {
             return Err(CoreError::Config("fleet needs at least one node".into()));
         }
@@ -374,31 +315,12 @@ impl FleetEngine {
                 )));
             }
         }
-        let nodes = methods.len();
-        let k = shards.clamp(1, nodes);
-        let base = nodes / k;
-        let extra = nodes % k;
-        let mut shards = Vec::with_capacity(k);
-        let mut methods = methods.into_iter();
-        let mut start = 0usize;
-        for s in 0..k {
-            let len = base + usize::from(s < extra);
-            shards.push(Shard {
-                start,
-                streams: methods
-                    .by_ref()
-                    .take(len)
-                    .map(|m| OnlineCs::new(m, spec))
-                    .collect(),
-                events: Vec::new(),
-                staged: 0,
-                ingest_ns: None,
-            });
-            start += len;
-        }
         Ok(Self {
-            shards,
-            nodes,
+            streams: methods
+                .into_iter()
+                .map(|m| OnlineCs::new(m, spec))
+                .collect(),
+            events: Vec::new(),
             n_sensors,
             spec,
             stats: FleetStats::default(),
@@ -414,17 +336,12 @@ impl FleetEngine {
 
     /// Number of nodes served.
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.streams.len()
     }
 
     /// Readings expected per node per frame.
     pub fn n_sensors(&self) -> usize {
         self.n_sensors
-    }
-
-    /// Number of shards the fleet is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The window geometry every stream uses.
@@ -439,89 +356,66 @@ impl FleetEngine {
 
     /// Wires the engine to a metrics registry: registers live
     /// `cws_frames_total`/`cws_events_total`/`cws_gaps_total` counters
-    /// (label `stage="fleet"`) bumped once per ingested frame, plus one
-    /// `cws_ingest_ns{shard="<i>"}` latency histogram per shard, fed by
-    /// a scoped span around each shard's slice of every 16th frame
-    /// (sampled — see `SPAN_SAMPLE_EVERY` — so the span's two clock
-    /// reads stay off the steady-state per-frame cost). The
-    /// handles are pre-registered, so steady-state recording allocates
-    /// nothing. Don't also hub-publish this engine's [`Observe`]
-    /// snapshot — it emits the same counter series.
+    /// (label `stage="fleet"`) bumped once per ingested frame, plus a
+    /// `cws_ingest_ns{stage="fleet"}` latency histogram fed by a scoped
+    /// span around the stream pass of every 16th frame (sampled — see
+    /// `SPAN_SAMPLE_EVERY` — so the span's two clock reads stay off the
+    /// steady-state per-frame cost). The handles are pre-registered, so
+    /// steady-state recording allocates nothing.
     pub fn attach_metrics(&mut self, registry: &Registry) {
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.ingest_ns =
-                Some(registry.histogram("cws_ingest_ns", &[("shard", &i.to_string())]));
-        }
+        let labels = &[("stage", "fleet")];
         self.metrics = Some(FleetMetrics {
-            frames: registry.counter("cws_frames_total", &[("stage", "fleet")]),
-            events: registry.counter("cws_events_total", &[("stage", "fleet")]),
-            gaps: registry.counter("cws_gaps_total", &[("stage", "fleet")]),
+            frames: registry.counter("cws_frames_total", labels),
+            events: registry.counter("cws_events_total", labels),
+            gaps: registry.counter("cws_gaps_total", labels),
+            ingest_ns: registry.histogram("cws_ingest_ns", labels),
         });
     }
 
     /// A right-sized empty frame for this fleet.
     pub fn frame(&self) -> FleetFrame {
-        FleetFrame::new(self.nodes, self.n_sensors)
+        FleetFrame::new(self.nodes(), self.n_sensors)
     }
 
     /// The stream serving `node` (diagnostics: gaps, buffered fill, model).
     pub fn node(&self, node: usize) -> Option<&OnlineCs> {
-        let shard = self
-            .shards
-            .iter()
-            .take_while(|s| s.start <= node)
-            .last()
-            .filter(|s| node - s.start < s.streams.len())?;
-        Some(&shard.streams[node - shard.start])
+        self.streams.get(node)
     }
 
     /// Ingests one frame, handing any completed-window events to `sink`
     /// in node order. Nodes absent from the frame take the gap-recovery
-    /// path. This is the batch hot path: shards run in parallel, every
-    /// buffer — including the event structs and their signature vectors —
+    /// path. This is the engine's only ingest entry point. Every buffer —
+    /// including the staged event structs and their signature vectors —
     /// is reused across frames, so with an allocation-free sink the
-    /// whole path is heap-silent in steady state.
+    /// whole path is heap-silent in steady state. A caller that wants
+    /// owned events passes a `Vec<FleetEvent>` or a
+    /// [`Collect`](crate::pipeline::Collect).
     ///
-    /// If the sink errors, the remaining events of the frame are not
-    /// delivered, the stats counters are left unchanged, and the error
-    /// propagates; the per-node streams have already advanced (the frame
-    /// *was* ingested).
+    /// Every stream advances before the first event is delivered. If the
+    /// sink errors, the remaining events of the frame are not delivered,
+    /// the stats counters are left unchanged, and the error propagates;
+    /// the per-node streams have already advanced (the frame *was*
+    /// ingested).
     pub fn ingest_frame_sink<S: FleetSink>(
         &mut self,
         frame: &FleetFrame,
         sink: &mut S,
     ) -> Result<()> {
-        if frame.nodes() != self.nodes || frame.n_sensors() != self.n_sensors {
+        if frame.nodes() != self.nodes() || frame.n_sensors() != self.n_sensors {
             return Err(CoreError::Shape(format!(
                 "frame is {}x{}, fleet expects {}x{}",
                 frame.nodes(),
                 frame.n_sensors(),
-                self.nodes,
+                self.nodes(),
                 self.n_sensors
             )));
         }
-        // Span sampling is frame-clocked so every shard's histogram
-        // covers the same frames; `frames` has not been bumped yet, so
-        // frame 0 (a cold-cache outlier worth seeing) is included.
-        let record_span = self.stats.frames.is_multiple_of(SPAN_SAMPLE_EVERY);
-        if self.shards.len() == 1 {
-            self.shards[0].ingest(frame, record_span)?;
-        } else {
-            // In-place parallel pass over the shards; the first error (in
-            // shard order) wins, as with a sequential loop.
-            self.shards
-                .par_iter_mut()
-                .map(|shard| shard.ingest(frame, record_span))
-                .collect::<Result<Vec<()>>>()?;
+        let staged = self.stage(frame)?;
+        for event in &self.events[..staged] {
+            sink.on_event(event)?;
         }
-        let mut events = 0u64;
-        for shard in &self.shards {
-            for event in shard.staged() {
-                sink.on_event(event)?;
-            }
-            events += shard.staged as u64;
-        }
-        let gaps = (self.nodes - frame.present_count()) as u64;
+        let events = staged as u64;
+        let gaps = (self.nodes() - frame.present_count()) as u64;
         self.stats.frames += 1;
         self.stats.events += events;
         self.stats.gaps += gaps;
@@ -535,38 +429,34 @@ impl FleetEngine {
         Ok(())
     }
 
-    /// [`FleetEngine::ingest_frame_sink`] appending events to `out`
-    /// (cleared first) — the shape callers that want an owning `Vec`
-    /// use; each delivered event is cloned out of the engine's reused
-    /// buffers.
-    pub fn ingest_frame_into(
-        &mut self,
-        frame: &FleetFrame,
-        out: &mut Vec<FleetEvent>,
-    ) -> Result<()> {
-        out.clear();
-        self.ingest_frame_sink(frame, out)
-    }
-
-    /// [`FleetEngine::ingest_frame_into`] returning a fresh event vector.
-    pub fn ingest_frame(&mut self, frame: &FleetFrame) -> Result<Vec<FleetEvent>> {
-        let mut out = Vec::new();
-        self.ingest_frame_into(frame, &mut out)?;
-        Ok(out)
-    }
-}
-
-/// Snapshot-style export of [`FleetStats`] plus fleet geometry — for
-/// engines not wired through [`FleetEngine::attach_metrics`], or for
-/// publishing through a [`cwsmooth_obs::MetricsHub`].
-impl Observe for FleetEngine {
-    fn observe(&self, out: &mut Snapshot) {
-        let labels = &[("stage", "fleet")];
-        out.counter("cws_frames_total", labels, self.stats.frames);
-        out.counter("cws_events_total", labels, self.stats.events);
-        out.counter("cws_gaps_total", labels, self.stats.gaps);
-        out.gauge("cws_fleet_nodes", &[], self.nodes as f64);
-        out.gauge("cws_fleet_shards", &[], self.shards.len() as f64);
+    /// Advances every node's stream by one frame, staging completed
+    /// windows at the front of the event pool; returns how many.
+    fn stage(&mut self, frame: &FleetFrame) -> Result<usize> {
+        // Scoped span: records elapsed ns into the histogram on drop.
+        // Frame-clocked sampling; `frames` has not been bumped yet, so
+        // frame 0 (a cold-cache outlier worth seeing) is included.
+        let _span = self
+            .metrics
+            .as_ref()
+            .filter(|_| self.stats.frames.is_multiple_of(SPAN_SAMPLE_EVERY))
+            .map(|m| m.ingest_ns.start_span());
+        let mut staged = 0;
+        for (node, stream) in self.streams.iter_mut().enumerate() {
+            let Some(column) = frame.readings(node) else {
+                stream.push_gap();
+                continue;
+            };
+            if staged == self.events.len() {
+                self.events.push(FleetEvent::default());
+            }
+            let slot = &mut self.events[staged];
+            if stream.push_into(column, &mut slot.signature)? {
+                slot.node = node;
+                slot.window_index = stream.emitted() - 1;
+                staged += 1;
+            }
+        }
+        Ok(staged)
     }
 }
 
@@ -583,68 +473,60 @@ mod tests {
         })
     }
 
-    fn build_fleet(nodes: usize, n: usize, t: usize, shards: usize) -> (FleetEngine, Vec<Matrix>) {
+    fn build_fleet(nodes: usize, n: usize, t: usize) -> (FleetEngine, Vec<Matrix>) {
         let mats: Vec<Matrix> = (0..nodes).map(|i| node_matrix(i, n, t)).collect();
         let methods: Vec<CsMethod> = mats
             .iter()
             .map(|m| CsMethod::new(CsTrainer::default().train(m).unwrap(), 3).unwrap())
             .collect();
         let spec = WindowSpec::new(8, 4).unwrap();
-        (
-            FleetEngine::with_shards(methods, spec, shards).unwrap(),
-            mats,
-        )
+        (FleetEngine::new(methods, spec).unwrap(), mats)
     }
 
     #[test]
     fn fleet_matches_per_node_online_streams() {
         let (nodes, n, t) = (13usize, 4usize, 60usize);
-        for shards in [1usize, 3, 16] {
-            let (mut engine, mats) = build_fleet(nodes, n, t, shards);
-            assert_eq!(engine.shard_count(), shards.min(nodes));
+        let (mut engine, mats) = build_fleet(nodes, n, t);
 
-            // Reference: independent OnlineCs per node.
-            let mut refs: Vec<OnlineCs> = (0..nodes)
-                .map(|i| OnlineCs::new(engine.node(i).unwrap().method().clone(), engine.spec()))
-                .collect();
+        // Reference: independent OnlineCs per node.
+        let mut refs: Vec<OnlineCs> = (0..nodes)
+            .map(|i| OnlineCs::new(engine.node(i).unwrap().method().clone(), engine.spec()))
+            .collect();
 
-            let mut frame = engine.frame();
-            let mut events = Vec::new();
-            let mut got: Vec<FleetEvent> = Vec::new();
-            let mut expect: Vec<FleetEvent> = Vec::new();
-            for c in 0..t {
-                frame.clear();
-                for (i, m) in mats.iter().enumerate() {
-                    // node i drops frames on a deterministic pattern
-                    if (c + i) % 11 != 0 {
-                        frame.set(i, &m.col(c)).unwrap();
-                    }
-                }
-                engine.ingest_frame_into(&frame, &mut events).unwrap();
-                got.extend(events.iter().cloned());
-                for (i, r) in refs.iter_mut().enumerate() {
-                    match frame.readings(i) {
-                        Some(col) => {
-                            if let Some(sig) = r.push(col).unwrap() {
-                                expect.push(FleetEvent {
-                                    node: i,
-                                    window_index: r.emitted() - 1,
-                                    signature: sig,
-                                });
-                            }
-                        }
-                        None => r.push_gap(),
-                    }
+        let mut frame = engine.frame();
+        let mut got: Vec<FleetEvent> = Vec::new();
+        let mut expect: Vec<FleetEvent> = Vec::new();
+        for c in 0..t {
+            frame.clear();
+            for (i, m) in mats.iter().enumerate() {
+                // node i drops frames on a deterministic pattern
+                if (c + i) % 11 != 0 {
+                    frame.set(i, &m.col(c)).unwrap();
                 }
             }
-            assert!(!expect.is_empty());
-            // Same events; within a frame the fleet orders them by node.
-            assert_eq!(got, expect, "shards={shards}");
-            assert_eq!(engine.stats().events, expect.len() as u64);
-            assert_eq!(engine.stats().frames, t as u64);
-            let total_gaps: usize = (0..nodes).map(|i| engine.node(i).unwrap().gaps()).sum();
-            assert_eq!(engine.stats().gaps, total_gaps as u64);
+            engine.ingest_frame_sink(&frame, &mut got).unwrap();
+            for (i, r) in refs.iter_mut().enumerate() {
+                match frame.readings(i) {
+                    Some(col) => {
+                        if let Some(sig) = r.push(col).unwrap() {
+                            expect.push(FleetEvent {
+                                node: i,
+                                window_index: r.emitted() - 1,
+                                signature: sig,
+                            });
+                        }
+                    }
+                    None => r.push_gap(),
+                }
+            }
         }
+        assert!(!expect.is_empty());
+        // Same events; within a frame the fleet orders them by node.
+        assert_eq!(got, expect);
+        assert_eq!(engine.stats().events, expect.len() as u64);
+        assert_eq!(engine.stats().frames, t as u64);
+        let total_gaps: usize = (0..nodes).map(|i| engine.node(i).unwrap().gaps()).sum();
+        assert_eq!(engine.stats().gaps, total_gaps as u64);
     }
 
     /// A sink that copies values out without owning any event.
@@ -669,41 +551,37 @@ mod tests {
 
     #[test]
     fn sink_delivery_matches_vec_collection() {
-        for shards in [1usize, 4] {
-            let (mut via_sink, mats) = build_fleet(9, 4, 80, shards);
-            let (mut via_vec, _) = build_fleet(9, 4, 80, shards);
-            let mut sink = Summing {
-                events: 0,
-                checksum: 0.0,
-                fail_after: None,
-            };
-            let mut collected: Vec<FleetEvent> = Vec::new();
-            let mut frame = via_sink.frame();
-            let mut events = Vec::new();
-            for c in 0..80 {
-                frame.clear();
-                for (i, m) in mats.iter().enumerate() {
-                    if (c + i) % 7 != 0 {
-                        frame.set(i, &m.col(c)).unwrap();
-                    }
+        let (mut via_sink, mats) = build_fleet(9, 4, 80);
+        let (mut via_vec, _) = build_fleet(9, 4, 80);
+        let mut sink = Summing {
+            events: 0,
+            checksum: 0.0,
+            fail_after: None,
+        };
+        let mut collected: Vec<FleetEvent> = Vec::new();
+        let mut frame = via_sink.frame();
+        for c in 0..80 {
+            frame.clear();
+            for (i, m) in mats.iter().enumerate() {
+                if (c + i) % 7 != 0 {
+                    frame.set(i, &m.col(c)).unwrap();
                 }
-                via_sink.ingest_frame_sink(&frame, &mut sink).unwrap();
-                via_vec.ingest_frame_into(&frame, &mut events).unwrap();
-                collected.extend(events.iter().cloned());
             }
-            assert_eq!(sink.events, collected.len());
-            let expect: f64 = collected
-                .iter()
-                .map(|e| e.node as f64 + e.window_index as f64 + e.signature.re.iter().sum::<f64>())
-                .sum();
-            assert!((sink.checksum - expect).abs() < 1e-9, "shards={shards}");
-            assert_eq!(via_sink.stats(), via_vec.stats());
+            via_sink.ingest_frame_sink(&frame, &mut sink).unwrap();
+            via_vec.ingest_frame_sink(&frame, &mut collected).unwrap();
         }
+        assert_eq!(sink.events, collected.len());
+        let expect: f64 = collected
+            .iter()
+            .map(|e| e.node as f64 + e.window_index as f64 + e.signature.re.iter().sum::<f64>())
+            .sum();
+        assert!((sink.checksum - expect).abs() < 1e-9);
+        assert_eq!(via_sink.stats(), via_vec.stats());
     }
 
     #[test]
     fn sink_error_aborts_frame_delivery_and_keeps_stats() {
-        let (mut engine, mats) = build_fleet(6, 4, 40, 2);
+        let (mut engine, mats) = build_fleet(6, 4, 40);
         let mut frame = engine.frame();
         let mut sink = Summing {
             events: 0,
@@ -746,7 +624,7 @@ mod tests {
 
         let mut engine = FleetEngine::homogeneous(a, 4, spec).unwrap();
         let wrong = FleetFrame::new(3, 3);
-        assert!(engine.ingest_frame(&wrong).is_err());
+        assert!(engine.ingest_frame_sink(&wrong, &mut Vec::new()).is_err());
         let mut frame = engine.frame();
         assert!(frame.set(9, &[0.0; 3]).is_err());
         assert!(frame.set(0, &[0.0; 2]).is_err());
@@ -768,10 +646,10 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_mirror_stats_and_time_every_shard() {
-        use cwsmooth_obs::{Value, HIST_BUCKETS};
+    fn attached_metrics_mirror_stats_and_time_sampled_frames() {
+        use cwsmooth_obs::{Observe, Snapshot, Value, HIST_BUCKETS};
 
-        let (mut engine, mats) = build_fleet(9, 4, 60, 3);
+        let (mut engine, mats) = build_fleet(9, 4, 60);
         let registry = Registry::new();
         engine.attach_metrics(&registry);
         let mut frame = engine.frame();
@@ -785,7 +663,7 @@ mod tests {
                     frame.set(i, &m.col(c)).unwrap();
                 }
             }
-            engine.ingest_frame_into(&frame, &mut events).unwrap();
+            engine.ingest_frame_sink(&frame, &mut events).unwrap();
         }
         let stats = engine.stats();
         assert!(stats.events > 0 && stats.gaps > 0);
@@ -803,32 +681,26 @@ mod tests {
         assert_eq!(counter("cws_frames_total"), Some(stats.frames));
         assert_eq!(counter("cws_events_total"), Some(stats.events));
         assert_eq!(counter("cws_gaps_total"), Some(stats.gaps));
-        // One latency histogram per shard, one sample per sampled
-        // frame each (frames 0, N, 2N, ... — see SPAN_SAMPLE_EVERY).
-        let mut shard_counts = 0u64;
-        let mut shards_seen = 0usize;
-        for s in live.samples() {
-            if s.name == "cws_ingest_ns" {
-                shards_seen += 1;
-                if let Value::Histogram(h) = &s.value {
+        // One latency histogram, one sample per sampled frame (frames
+        // 0, N, 2N, ... — see SPAN_SAMPLE_EVERY).
+        let spans: Vec<u64> = live
+            .samples()
+            .iter()
+            .filter(|s| s.name == "cws_ingest_ns")
+            .map(|s| match &s.value {
+                Value::Histogram(h) => {
                     assert_eq!(h.buckets.len(), HIST_BUCKETS);
-                    shard_counts += h.count;
+                    h.count
                 }
-            }
-        }
-        assert_eq!(shards_seen, engine.shard_count());
-        let sampled = stats.frames.div_ceil(SPAN_SAMPLE_EVERY);
-        assert_eq!(shard_counts, sampled * engine.shard_count() as u64);
-
-        // The snapshot path reports the same totals.
-        let mut snap = Snapshot::new();
-        engine.observe(&mut snap);
-        assert_eq!(snap.samples().len(), 5);
+                other => panic!("cws_ingest_ns is not a histogram: {other:?}"),
+            })
+            .collect();
+        assert_eq!(spans, [stats.frames.div_ceil(SPAN_SAMPLE_EVERY)]);
     }
 
     #[test]
-    fn node_accessor_covers_every_shard() {
-        let (engine, _) = build_fleet(10, 3, 40, 4);
+    fn node_accessor_covers_every_node() {
+        let (engine, _) = build_fleet(10, 3, 40);
         for i in 0..10 {
             let stream = engine.node(i).unwrap();
             assert_eq!(stream.n_sensors(), 3);

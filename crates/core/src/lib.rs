@@ -20,7 +20,7 @@
 //!   time (the paper's online-deployment mode), with an allocation-free
 //!   hot path and telemetry-gap recovery.
 //! * [`fleet`] — fleet-scale streaming: thousands of per-node online
-//!   streams sharded across rayon workers, fed by batched frames.
+//!   streams walked in one loop, fed by batched frames.
 //! * [`pipeline`] — composable [`fleet::FleetSink`] operators ([`pipeline::Tee`]
 //!   fan-out, [`pipeline::Filter`]/[`pipeline::NodeRoute`] routing,
 //!   [`pipeline::Sample`] decimation, [`pipeline::Collect`],

@@ -1,12 +1,10 @@
 //! Pins the zero-allocation guarantee of the sink-based fleet ingest
-//! path: once the per-shard event pools have warmed up, a full
+//! path: once the staged-event pool has warmed up, a full
 //! `FleetEngine::ingest_frame_sink` frame — including signature
 //! emissions delivered to the sink — must never touch the heap.
 //!
-//! Measured with a counting global allocator on a single-shard engine
-//! (the rayon fan-out of the multi-shard path allocates in the worker
-//! pool by design; the per-shard ingest it runs is exactly the code
-//! measured here). This file holds exactly one `#[test]` so no
+//! Measured with a counting global allocator on the default engine
+//! (`FleetEngine::new`). This file holds exactly one `#[test]` so no
 //! concurrent test can allocate while the counter window is open.
 
 use cwsmooth_core::cs::{CsMethod, CsTrainer};
@@ -97,7 +95,7 @@ fn steady_state_sink_ingest_performs_no_heap_allocation() {
         })
         .collect();
     let spec = WindowSpec::new(10, 5).unwrap();
-    let mut engine = FleetEngine::with_shards(methods, spec, 1).unwrap();
+    let mut engine = FleetEngine::new(methods, spec).unwrap();
     let mut frame = engine.frame();
     let mut sink = Checksum::default();
 

@@ -1,10 +1,9 @@
-//! Pins the unified-ingest contract: [`FleetEngine::ingest_frame_sink`]
-//! is the only engine-side ingest implementation, and the two wrapper
-//! entry points — `ingest_frame_into` and `ingest_frame` — plus any
-//! sink-tree built from the `pipeline` operators all observe
-//! **bit-identical** [`FleetEvent`]s (exact `==`, no tolerance), which
-//! in turn match the pre-refactor semantics of independent per-node
-//! [`OnlineCs`] streams, including across telemetry gaps.
+//! Pins the single-ingest contract: [`FleetEngine::ingest_frame_sink`]
+//! is the engine's only ingest entry point, and every sink handed to it
+//! — a plain `Vec<FleetEvent>`, a `Collect`, or a tree built from the
+//! `pipeline` operators — observes **bit-identical** [`FleetEvent`]s
+//! (exact `==`, no tolerance) to independent per-node [`OnlineCs`]
+//! streams, including across telemetry gaps.
 
 use cwsmooth_core::cs::{CsMethod, CsTrainer};
 use cwsmooth_core::fleet::{FleetEngine, FleetEvent};
@@ -40,9 +39,8 @@ fn gap(node: usize, t: usize) -> bool {
     (node + t).is_multiple_of(13)
 }
 
-fn engine(shards: usize) -> FleetEngine {
-    let spec = WindowSpec::new(8, 4).unwrap();
-    FleetEngine::with_shards(methods(), spec, shards).unwrap()
+fn engine() -> FleetEngine {
+    FleetEngine::new(methods(), WindowSpec::new(8, 4).unwrap()).unwrap()
 }
 
 fn fill(frame: &mut cwsmooth_core::fleet::FleetFrame, t: usize) {
@@ -57,7 +55,7 @@ fn fill(frame: &mut cwsmooth_core::fleet::FleetFrame, t: usize) {
     }
 }
 
-/// The pre-refactor semantics: each node as an independent OnlineCs.
+/// The reference semantics: each node as an independent OnlineCs.
 fn reference_events() -> Vec<FleetEvent> {
     let spec = WindowSpec::new(8, 4).unwrap();
     let mut streams: Vec<OnlineCs> = methods()
@@ -82,46 +80,35 @@ fn reference_events() -> Vec<FleetEvent> {
 }
 
 #[test]
-fn all_three_entry_points_emit_bit_identical_events() {
+fn sink_path_emits_events_bit_identical_to_per_node_streams() {
     let expect = reference_events();
     assert!(expect.len() > 100, "premise: a rich event stream");
 
-    for shards in [1usize, 4] {
-        // ingest_frame: fresh Vec per frame.
-        let mut via_frame = engine(shards);
-        let mut frame = via_frame.frame();
-        let mut got_frame: Vec<FleetEvent> = Vec::new();
-        for t in 0..FRAMES {
-            fill(&mut frame, t);
-            got_frame.extend(via_frame.ingest_frame(&frame).unwrap());
-        }
-        assert_eq!(got_frame, expect, "ingest_frame, shards={shards}");
-
-        // ingest_frame_into: reused Vec.
-        let mut via_into = engine(shards);
-        let mut events: Vec<FleetEvent> = Vec::new();
-        let mut got_into: Vec<FleetEvent> = Vec::new();
-        for t in 0..FRAMES {
-            fill(&mut frame, t);
-            via_into.ingest_frame_into(&frame, &mut events).unwrap();
-            got_into.extend(events.iter().cloned());
-        }
-        assert_eq!(got_into, expect, "ingest_frame_into, shards={shards}");
-
-        // ingest_frame_sink with a pipeline collector.
-        let mut via_sink = engine(shards);
-        let mut collect = Collect::new();
-        for t in 0..FRAMES {
-            fill(&mut frame, t);
-            via_sink.ingest_frame_sink(&frame, &mut collect).unwrap();
-        }
-        assert_eq!(collect.events(), &expect[..], "sink path, shards={shards}");
-
-        // All paths also agree on the counters.
-        assert_eq!(via_frame.stats(), via_into.stats());
-        assert_eq!(via_frame.stats(), via_sink.stats());
-        assert_eq!(via_sink.stats().events as usize, expect.len());
+    // A reused Vec, cleared before every frame.
+    let mut via_vec = engine();
+    let mut frame = via_vec.frame();
+    let mut events: Vec<FleetEvent> = Vec::new();
+    let mut got_vec: Vec<FleetEvent> = Vec::new();
+    for t in 0..FRAMES {
+        fill(&mut frame, t);
+        events.clear();
+        via_vec.ingest_frame_sink(&frame, &mut events).unwrap();
+        got_vec.extend(events.iter().cloned());
     }
+    assert_eq!(got_vec, expect, "Vec sink");
+
+    // A pipeline collector accumulating across frames.
+    let mut via_collect = engine();
+    let mut collect = Collect::new();
+    for t in 0..FRAMES {
+        fill(&mut frame, t);
+        via_collect.ingest_frame_sink(&frame, &mut collect).unwrap();
+    }
+    assert_eq!(collect.events(), &expect[..], "Collect sink");
+
+    // Both also agree on the counters.
+    assert_eq!(via_vec.stats(), via_collect.stats());
+    assert_eq!(via_collect.stats().events as usize, expect.len());
 }
 
 /// Operator trees forward events untouched: a Tee of (everything,
@@ -130,7 +117,7 @@ fn all_three_entry_points_emit_bit_identical_events() {
 #[test]
 fn pipeline_operators_preserve_events_bitwise() {
     let expect = reference_events();
-    let mut engine = engine(3);
+    let mut engine = engine();
     let mut frame = engine.frame();
     let mut tree = Tee((
         Collect::new(),

@@ -329,7 +329,6 @@ mod streaming_equivalence {
             ws in 1usize..7,
             t in 8usize..40,
             seed in 0u64..1_000,
-            shards in 1usize..5,
         ) {
             // Per-node matrices (node n_sensors fixed at 3, one constant
             // row), deterministic per-(node, t) gaps from `seed`.
@@ -350,11 +349,9 @@ mod streaming_equivalence {
                 .map(|m| CsMethod::new(CsTrainer::default().train(m).unwrap(), 2).unwrap())
                 .collect();
             let spec = WindowSpec::new(wl, ws).unwrap();
-            let mut engine =
-                FleetEngine::with_shards(methods.clone(), spec, shards).unwrap();
+            let mut engine = FleetEngine::new(methods.clone(), spec).unwrap();
 
             let mut frame = engine.frame();
-            let mut events: Vec<FleetEvent> = Vec::new();
             let mut got: Vec<FleetEvent> = Vec::new();
             for c in 0..t {
                 frame.clear();
@@ -363,8 +360,7 @@ mod streaming_equivalence {
                         frame.set(i, &m.col(c)).unwrap();
                     }
                 }
-                engine.ingest_frame_into(&frame, &mut events).unwrap();
-                got.append(&mut events);
+                engine.ingest_frame_sink(&frame, &mut got).unwrap();
             }
 
             // Expectation: per node, the batch pipeline over each

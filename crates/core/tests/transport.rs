@@ -51,9 +51,8 @@ fn gap(node: usize, t: usize) -> bool {
     (node + 2 * t).is_multiple_of(11)
 }
 
-fn engine(shards: usize) -> FleetEngine {
-    let spec = WindowSpec::new(8, 4).unwrap();
-    FleetEngine::with_shards(methods(), spec, shards).unwrap()
+fn engine() -> FleetEngine {
+    FleetEngine::new(methods(), WindowSpec::new(8, 4).unwrap()).unwrap()
 }
 
 fn fill(frame: &mut cwsmooth_core::fleet::FleetFrame, t: usize) {
@@ -70,56 +69,54 @@ fn fill(frame: &mut cwsmooth_core::fleet::FleetFrame, t: usize) {
 
 #[test]
 fn threaded_tree_matches_synchronous_tree_bitwise() {
-    for shards in [1usize, 3] {
-        // Synchronous reference tree.
-        let mut sync_engine = engine(shards);
-        let mut frame = sync_engine.frame();
-        let mut sync_tree = Tee((Collect::new(), Collect::new(), Collect::new()));
-        for t in 0..FRAMES {
-            fill(&mut frame, t);
-            sync_engine
-                .ingest_frame_sink(&frame, &mut sync_tree)
-                .unwrap();
-        }
-        let expect = sync_tree.0 .0.events();
-        assert!(expect.len() > 100, "premise: a rich event stream");
-
-        // Threaded tree: every branch behind its own bounded queue. A
-        // small capacity forces real producer/consumer interleaving
-        // (and blocking) instead of one big buffered burst.
-        let mut threaded_engine = engine(shards);
-        let mut threaded_tree = Tee((
-            QueueSink::with_config(
-                Collect::new(),
-                QueueConfig {
-                    capacity: 8,
-                    policy: QueuePolicy::Block,
-                },
-            ),
-            QueueSink::spawn(Collect::new()),
-            QueueSink::spawn(Collect::new()),
-        ));
-        for t in 0..FRAMES {
-            fill(&mut frame, t);
-            threaded_engine
-                .ingest_frame_sink(&frame, &mut threaded_tree)
-                .unwrap();
-        }
-        let Tee((qa, qb, qc)) = threaded_tree;
-        for (tag, queue) in [("a", qa), ("b", qb), ("c", qc)] {
-            let stats = queue.stats();
-            let (collect, res) = queue.join();
-            res.unwrap();
-            assert_eq!(stats.dropped, 0, "block policy never drops");
-            assert_eq!(stats.pushed as usize, expect.len());
-            assert_eq!(
-                collect.events(),
-                expect,
-                "branch {tag}, shards={shards}: threaded events diverged"
-            );
-        }
-        assert_eq!(sync_engine.stats(), threaded_engine.stats());
+    // Synchronous reference tree.
+    let mut sync_engine = engine();
+    let mut frame = sync_engine.frame();
+    let mut sync_tree = Tee((Collect::new(), Collect::new(), Collect::new()));
+    for t in 0..FRAMES {
+        fill(&mut frame, t);
+        sync_engine
+            .ingest_frame_sink(&frame, &mut sync_tree)
+            .unwrap();
     }
+    let expect = sync_tree.0 .0.events();
+    assert!(expect.len() > 100, "premise: a rich event stream");
+
+    // Threaded tree: every branch behind its own bounded queue. A
+    // small capacity forces real producer/consumer interleaving
+    // (and blocking) instead of one big buffered burst.
+    let mut threaded_engine = engine();
+    let mut threaded_tree = Tee((
+        QueueSink::with_config(
+            Collect::new(),
+            QueueConfig {
+                capacity: 8,
+                policy: QueuePolicy::Block,
+            },
+        ),
+        QueueSink::spawn(Collect::new()),
+        QueueSink::spawn(Collect::new()),
+    ));
+    for t in 0..FRAMES {
+        fill(&mut frame, t);
+        threaded_engine
+            .ingest_frame_sink(&frame, &mut threaded_tree)
+            .unwrap();
+    }
+    let Tee((qa, qb, qc)) = threaded_tree;
+    for (tag, queue) in [("a", qa), ("b", qb), ("c", qc)] {
+        let stats = queue.stats();
+        let (collect, res) = queue.join();
+        res.unwrap();
+        assert_eq!(stats.dropped, 0, "block policy never drops");
+        assert_eq!(stats.pushed as usize, expect.len());
+        assert_eq!(
+            collect.events(),
+            expect,
+            "branch {tag}: threaded events diverged"
+        );
+    }
+    assert_eq!(sync_engine.stats(), threaded_engine.stats());
 }
 
 /// Fails on the `fail_at`-th event it sees, consumer-side.
@@ -140,7 +137,7 @@ impl FleetSink for FailingSink {
 
 #[test]
 fn consumer_error_surfaces_on_next_push_with_stats_unchanged() {
-    let mut eng = engine(2);
+    let mut eng = engine();
     let mut frame = eng.frame();
     // A tiny queue forces backpressure, so the consumer is guaranteed to
     // run (and latch the error) while frames are still being pushed —

@@ -11,7 +11,7 @@
 //! Offline, a CS model is trained on pooled healthy history and a
 //! random-forest fault classifier on labelled faulted streams (the
 //! `sim::faults` injectors applied to the fleet scenario's latent
-//! state). Online, every node streams through the sharded engine; each
+//! state). Online, every node streams through the fleet engine; each
 //! completed-window signature is persisted, classified and
 //! drift-checked in a single delivery pass. The run reports detection
 //! accuracy against the injected ground truth, alarm latency and
@@ -279,7 +279,7 @@ fn main() {
     }
     let fleet = FaultedFleet::new(scenario, plan);
 
-    // ---- Online: the sharded engine drives the 3-sink Tee.
+    // ---- Online: the fleet engine drives the 3-sink Tee.
     let dir = std::env::temp_dir().join(format!("cwsmooth-fleet-pipeline-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut store = SignatureStore::open(

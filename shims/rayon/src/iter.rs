@@ -109,33 +109,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Mutably borrowing conversion (`par_iter_mut`), yielding `&mut T` items.
-pub trait IntoParallelRefMutIterator<'a> {
-    type Item: Send + 'a;
-
-    fn par_iter_mut(&'a mut self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = &'a mut T;
-
-    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter {
-            items: self.iter_mut().collect(),
-        }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = &'a mut T;
-
-    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter {
-            items: self.iter_mut().collect(),
-        }
-    }
-}
-
 /// Sinks `collect` can target.
 pub trait FromParallelIterator<T>: Sized {
     fn from_par(items: Vec<T>) -> Self;
@@ -214,16 +187,6 @@ mod tests {
         assert_eq!(out[0], 1.0);
         assert_eq!(out[256], 257.0);
         assert_eq!(data.len(), 257); // still usable after the borrow
-    }
-
-    #[test]
-    fn par_iter_mut_mutates_in_place() {
-        let mut data: Vec<u64> = (0..513).collect();
-        data.par_iter_mut().for_each(|x| *x *= 3);
-        assert!(data.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
-        // and through a slice, with a collected result
-        let flags: Vec<bool> = data[..4].par_iter_mut().map(|x| *x % 2 == 0).collect();
-        assert_eq!(flags, vec![true, false, true, false]);
     }
 
     #[test]

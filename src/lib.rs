@@ -15,7 +15,7 @@
 //!   weight-based bagging, single-row predictors), MLPs, cross-validation,
 //!   metrics, and the streaming per-event fault detector.
 //! * [`core`] — the CS method and the Tuncer/Bodik/Lan baselines, plus
-//!   online streaming, the sharded fleet engine and the composable
+//!   online streaming, the fleet engine and the composable
 //!   sink-pipeline operators (`Tee`/`Filter`/`NodeRoute`/`Sample`).
 //! * [`analysis`] — Jensen-Shannon fidelity metrics, online drift
 //!   monitoring and heatmap imaging.
@@ -26,8 +26,8 @@
 //!   spill-to-disk degradation, and a seeded chaos-testing harness.
 //! * [`obs`] — the observability plane: zero-alloc metrics registry
 //!   (counters, gauges, log2 histograms, stage spans), the `Observe`
-//!   snapshot trait every pipeline stage implements, and Prometheus
-//!   text / JSON encoders behind `net`'s `GET /metrics` endpoint.
+//!   snapshot trait the sinks implement, and Prometheus text / JSON
+//!   encoders behind `net`'s `GET /metrics` endpoint.
 //!
 //! ## Quickstart
 //!

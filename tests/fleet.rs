@@ -1,5 +1,5 @@
 //! End-to-end fleet streaming through the facade crate: simulator frames →
-//! sharded engine → signature events, checked against the batch pipeline.
+//! engine → signature events, checked against the batch pipeline.
 
 use cwsmooth::core::cs::{CsMethod, CsSignature, CsTrainer};
 use cwsmooth::core::fleet::{FleetEngine, FleetEvent};
@@ -55,7 +55,6 @@ fn stream_fleet(
 ) -> (FleetEngine, Vec<FleetEvent>) {
     let mut engine = FleetEngine::new(methods, spec).unwrap();
     let mut frame = engine.frame();
-    let mut events = Vec::new();
     let mut all = Vec::new();
     for f in 0..FRAMES {
         let t = TRAIN + f;
@@ -65,8 +64,7 @@ fn stream_fleet(
                 scenario.reading_into(node, t, frame.slot_mut(node).unwrap());
             }
         }
-        engine.ingest_frame_into(&frame, &mut events).unwrap();
-        all.append(&mut events);
+        engine.ingest_frame_sink(&frame, &mut all).unwrap();
     }
     (engine, all)
 }
@@ -160,15 +158,13 @@ fn constant_sensor_block_reads_mid_scale() {
     let spec = WindowSpec::new(20, 5).unwrap();
     let mut engine = FleetEngine::new(methods.clone(), spec).unwrap();
     let mut frame = engine.frame();
-    let mut events = Vec::new();
     let mut all = Vec::new();
     for f in 0..60 {
         frame.clear();
         for node in 0..scenario.nodes() {
             scenario.reading_into(node, TRAIN + f, frame.slot_mut(node).unwrap());
         }
-        engine.ingest_frame_into(&frame, &mut events).unwrap();
-        all.append(&mut events);
+        engine.ingest_frame_sink(&frame, &mut all).unwrap();
     }
     assert!(!all.is_empty());
     for e in &all {

@@ -5,11 +5,9 @@
 //! (including block flushes), per-event forest inference and online
 //! drift histograms all run out of warmed, reused buffers.
 //!
-//! Measured with a counting global allocator on a single-shard engine
-//! (the multi-shard rayon fan-out allocates in the worker pool by
-//! design; the per-shard ingest it runs is exactly the code measured
-//! here). This file holds exactly one `#[test]` so no concurrent test
-//! can allocate while the counter window is open.
+//! Measured with a counting global allocator on the default engine
+//! (`FleetEngine::new`). This file holds exactly one `#[test]` so no
+//! concurrent test can allocate while the counter window is open.
 
 use cwsmooth::analysis::drift::{DriftConfig, DriftMonitor};
 use cwsmooth::core::cs::{CsMethod, CsTrainer};
@@ -102,7 +100,7 @@ fn steady_state_tee_pipeline_performs_no_heap_allocation() {
             CsMethod::new(CsTrainer::default().train(&s).unwrap(), L).unwrap()
         })
         .collect();
-    let mut engine = FleetEngine::with_shards(methods, spec, 1).unwrap();
+    let mut engine = FleetEngine::new(methods, spec).unwrap();
     let mut frame = engine.frame();
 
     // Store: quantized encoding (the richer encode path), small blocks so
@@ -133,7 +131,7 @@ fn steady_state_tee_pipeline_performs_no_heap_allocation() {
     });
 
     // ---- Warm-up: run until every buffer class has been exercised —
-    // shard event pools, store staging + several block flushes, detector
+    // the engine's event pool, store staging + several block flushes, detector
     // vote/feature buffers, and at least one completed drift comparison
     // per node (reference + counts allocated). ----
     let mut t = 0usize;

@@ -38,7 +38,7 @@ fn methods() -> Vec<CsMethod> {
 }
 
 fn engine() -> FleetEngine {
-    FleetEngine::with_shards(methods(), WindowSpec::new(10, 5).unwrap(), 2).unwrap()
+    FleetEngine::new(methods(), WindowSpec::new(10, 5).unwrap()).unwrap()
 }
 
 fn fill(frame: &mut cwsmooth::core::fleet::FleetFrame, t: usize) {

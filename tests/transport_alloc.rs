@@ -139,7 +139,7 @@ fn steady_state_threaded_producer_path_performs_no_heap_allocation() {
             CsMethod::new(CsTrainer::default().train(&s).unwrap(), L).unwrap()
         })
         .collect();
-    let mut engine = FleetEngine::with_shards(methods, spec, 1).unwrap();
+    let mut engine = FleetEngine::new(methods, spec).unwrap();
     let mut frame = engine.frame();
 
     let store_cfg = StoreConfig::default()
