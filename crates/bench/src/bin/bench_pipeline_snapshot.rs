@@ -1,16 +1,15 @@
 //! Machine-readable streaming-pipeline performance snapshot: events/s
 //! through the fleet engine with one sink vs the full 3-sink
 //! `Tee(store, detector, drift)` tree, plus per-event detector and
-//! drift-monitor costs, writing `BENCH_pipeline.json` so future PRs can
-//! track the dataflow's perf trajectory without parsing criterion
-//! output.
+//! drift-monitor costs, writing `BENCH_pipeline.json` (layout and
+//! one-core column: [`cwsmooth_bench::snapshot`]).
 //!
 //! Usage: `cargo run --release -p cwsmooth-bench --bin
 //! bench_pipeline_snapshot [--reps R] [--out PATH]` (`BENCH_QUICK=1`
 //! forces reps = 1 and a smaller workload for CI smoke runs).
 
 use cwsmooth_analysis::drift::{DriftConfig, DriftMonitor};
-use cwsmooth_bench::Args;
+use cwsmooth_bench::snapshot::{median, time_ms, tmpdir, Entries, Json, Run};
 use cwsmooth_core::cs::{CsMethod, CsTrainer};
 use cwsmooth_core::error::Result as CoreResult;
 use cwsmooth_core::fleet::{FleetEngine, FleetEvent, FleetSink};
@@ -24,29 +23,11 @@ use cwsmooth_obs::Registry;
 use cwsmooth_sim::fleet::{FleetScenario, FleetSimConfig};
 use cwsmooth_store::{Encoding, SignatureStore, StoreConfig};
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 const L: usize = 4;
 const TRAIN: usize = 256;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cwsmooth-pipe-snap-{tag}-{}", std::process::id()))
-}
-
-/// Median wall-clock milliseconds over `reps` runs of `f`.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1000.0
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// A sink that only counts (the 1-sink lower bound on delivery cost).
 #[derive(Default)]
@@ -99,11 +80,6 @@ fn gate_set(gate: &Arc<(Mutex<bool>, Condvar)>, value: bool) {
     cv.notify_all();
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn drift_for() -> DriftMonitor {
     DriftMonitor::new(DriftConfig {
         bins: 8,
@@ -112,13 +88,36 @@ fn drift_for() -> DriftMonitor {
     })
 }
 
+/// Fleet nodes and frames of the workload.
+fn workload(run: &Run) -> (usize, usize) {
+    if run.quick {
+        (16, 600)
+    } else {
+        (64, 2500)
+    }
+}
+
 fn main() {
-    let args = Args::capture();
-    let quick = std::env::var("BENCH_QUICK").is_ok();
-    let reps: usize = if quick { 1 } else { args.get("reps", 5) };
-    let out_path: String = args.get("out", "BENCH_pipeline.json".to_string());
-    let nodes: usize = if quick { 16 } else { 64 };
-    let frames: usize = if quick { 600 } else { 2500 };
+    let run = Run::capture("BENCH_pipeline.json");
+    let Some((current, one_core)) = run.measure(measure) else {
+        return;
+    };
+    let (nodes, frames) = workload(&run);
+    run.write(
+        "kevents/s for *_kevents_per_s, percent for *_pct, \
+         us per event for *_us_per_event, events for *_high_watermark",
+        vec![
+            ("nodes", Json::Int(nodes as u64)),
+            ("frames", Json::Int(frames as u64)),
+        ],
+        &current,
+        one_core.as_ref(),
+    );
+}
+
+fn measure(run: &Run) -> Entries {
+    let (quick, reps) = (run.quick, run.reps);
+    let (nodes, frames) = workload(run);
 
     let spec = WindowSpec::new(30, 10).unwrap();
     let scenario = FleetScenario::new(FleetSimConfig::new(42, nodes));
@@ -129,11 +128,7 @@ fn main() {
         })
         .collect();
 
-    let mut results: Vec<(String, f64)> = Vec::new();
-    let mut record = |name: &str, value: f64| {
-        println!("{name}: {value:.3}");
-        results.push((name.to_string(), value));
-    };
+    let mut results = Entries::default();
 
     // Shared frame-fill closure (generation cost is part of every
     // variant, so the 1-sink vs 3-sink delta isolates the sink tree).
@@ -159,7 +154,7 @@ fn main() {
         events_per_run = sink.0;
         black_box(sink.0);
     });
-    record(
+    results.record(
         "pipeline_1sink_count_kevents_per_s",
         events_per_run as f64 / ms_count,
     );
@@ -180,7 +175,7 @@ fn main() {
         store.flush().unwrap();
     });
     std::fs::remove_dir_all(&dir).ok();
-    record(
+    results.record(
         "pipeline_1sink_store_kevents_per_s",
         events_per_run as f64 / ms_store,
     );
@@ -205,11 +200,11 @@ fn main() {
         black_box(detector.events());
     });
     std::fs::remove_dir_all(&dir).ok();
-    record(
+    results.record(
         "pipeline_tee3_kevents_per_s",
         events_per_run as f64 / ms_tee,
     );
-    record(
+    results.record(
         "pipeline_tee3_overhead_vs_1sink_pct",
         100.0 * (ms_tee - ms_count) / ms_count,
     );
@@ -397,24 +392,24 @@ fn main() {
     let sync_ns = median(sync_chunks);
     let queued_ns = median(queued_chunks);
     let instrumented_ns = median(instrumented_chunks);
-    record("pipeline_sync_ingest_kevents_per_s", 1e6 / sync_ns);
-    record("pipeline_tee3_queued_ingest_kevents_per_s", 1e6 / queued_ns);
-    record(
+    results.record("pipeline_sync_ingest_kevents_per_s", 1e6 / sync_ns);
+    results.record("pipeline_tee3_queued_ingest_kevents_per_s", 1e6 / queued_ns);
+    results.record(
         "pipeline_tee3_queued_ingest_overhead_vs_1sink_pct",
         100.0 * (queued_ns / sync_ns - 1.0),
     );
     // The permanent observability gate: metrics-on vs bare ingest. The
     // instrumented arm pays the sampled span histogram, frame/event/gap
     // counters, and per-branch queue series on every push.
-    record(
+    results.record(
         "pipeline_instrumented_bare_ingest_kevents_per_s",
         1e6 / queued_ns,
     );
-    record(
+    results.record(
         "pipeline_instrumented_metrics_ingest_kevents_per_s",
         1e6 / instrumented_ns,
     );
-    record(
+    results.record(
         "pipeline_instrumented_overhead_pct",
         100.0 * (instrumented_ns / queued_ns - 1.0),
     );
@@ -457,20 +452,20 @@ fn main() {
         store.flush().unwrap();
     });
     std::fs::remove_dir_all(&dir).ok();
-    record(
+    results.record(
         "pipeline_tee3_queued_e2e_kevents_per_s",
         events_per_run as f64 / ms_queued_e2e,
     );
-    record(
+    results.record(
         "pipeline_tee3_queued_e2e_overhead_vs_sync_tee3_pct",
         100.0 * (ms_queued_e2e - ms_tee) / ms_tee,
     );
-    record("pipeline_queued_store_high_watermark", watermarks[0] as f64);
-    record(
+    results.record("pipeline_queued_store_high_watermark", watermarks[0] as f64);
+    results.record(
         "pipeline_queued_detector_high_watermark",
         watermarks[1] as f64,
     );
-    record("pipeline_queued_drift_high_watermark", watermarks[2] as f64);
+    results.record("pipeline_queued_drift_high_watermark", watermarks[2] as f64);
 
     // ---- Per-event sink costs, isolated on a pre-collected event set.
     let mut engine = FleetEngine::new(methods.clone(), spec).unwrap();
@@ -493,7 +488,7 @@ fn main() {
         }
         black_box(detector.events());
     });
-    record(
+    results.record(
         "pipeline_detector_us_per_event",
         ms * 1000.0 / events.len() as f64,
     );
@@ -504,7 +499,7 @@ fn main() {
         }
         black_box(drift.events());
     });
-    record(
+    results.record(
         "pipeline_drift_us_per_event",
         ms * 1000.0 / events.len() as f64,
     );
@@ -513,9 +508,9 @@ fn main() {
     // set pushed straight into a local store vs shipped through
     // `SocketSink` over loopback TCP into a server-owned store
     // (cwsmooth-net), timed end to end including the shutdown drain.
-    // On this 1-CPU runner the producer and the server thread share
-    // one core, so the delta is an *upper bound* on transport
-    // overhead, not a LAN measurement.
+    // Producer and server thread share this host's cores (one core in
+    // the `current_one_core` column), so the delta is loopback
+    // transport cost on one machine, not a LAN measurement.
     let store_cfg = || StoreConfig::default().with_encoding(Encoding::Quant8);
     let dir = tmpdir("net-direct");
     let ms_direct = time_ms(reps, || {
@@ -527,7 +522,7 @@ fn main() {
         store.flush().unwrap();
     });
     std::fs::remove_dir_all(&dir).ok();
-    record(
+    results.record(
         "pipeline_store_direct_kevents_per_s",
         events.len() as f64 / ms_direct,
     );
@@ -560,26 +555,14 @@ fn main() {
     });
     std::fs::remove_dir_all(&store_dir).ok();
     std::fs::remove_dir_all(&spill_dir).ok();
-    record(
+    results.record(
         "pipeline_socket_store_kevents_per_s",
         events.len() as f64 / ms_socket,
     );
-    record(
+    results.record(
         "pipeline_socket_store_overhead_vs_direct_pct",
         100.0 * (ms_socket - ms_direct) / ms_direct,
     );
 
-    // Assemble JSON by hand (flat snapshot, no serde needed).
-    let mut json = String::from("{\n  \"schema\": 1,\n  \"pr\": 9,\n");
-    json.push_str(&format!(
-        "  \"quick\": {quick},\n  \"reps\": {reps},\n  \"nodes\": {nodes},\n  \"frames\": {frames},\n"
-    ));
-    json.push_str("  \"current\": {\n");
-    for (i, (name, v)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {v:.3}{comma}\n"));
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write snapshot");
-    println!("wrote {out_path}");
+    results
 }

@@ -1,14 +1,14 @@
 //! Machine-readable signature-store performance snapshot: times ingest
 //! per encoding, exact vs coarse-indexed k-NN queries and the on-disk
 //! compression ratio on the fleet-sim workload, writing
-//! `BENCH_store.json` so future PRs can track the store's perf
-//! trajectory without parsing criterion output.
+//! `BENCH_store.json` (layout and one-core column:
+//! [`cwsmooth_bench::snapshot`]).
 //!
 //! Usage: `cargo run --release -p cwsmooth-bench --bin
 //! bench_store_snapshot [--reps R] [--out PATH]` (`BENCH_QUICK=1`
 //! forces reps = 1 and a smaller workload for CI smoke runs).
 
-use cwsmooth_bench::Args;
+use cwsmooth_bench::snapshot::{median, time_ms, tmpdir, Entries, Json, Run};
 use cwsmooth_core::cs::{CsMethod, CsSignature, CsTrainer};
 use cwsmooth_core::fleet::FleetEngine;
 use cwsmooth_data::WindowSpec;
@@ -17,36 +17,41 @@ use cwsmooth_store::{
     Compactor, CompactorConfig, Distance, Encoding, SignatureIndex, SignatureStore, StoreConfig,
 };
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
 
 const L: usize = 4;
 const TRAIN: usize = 256;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cwsmooth-store-snap-{tag}-{}", std::process::id()))
-}
-
-/// Median wall-clock milliseconds over `reps` runs of `f`.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1000.0
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+/// Fleet nodes and frames of the ingest workload.
+fn workload(run: &Run) -> (usize, usize) {
+    if run.quick {
+        (16, 600)
+    } else {
+        (64, 2500)
+    }
 }
 
 fn main() {
-    let args = Args::capture();
-    let quick = std::env::var("BENCH_QUICK").is_ok();
-    let reps: usize = if quick { 1 } else { args.get("reps", 5) };
-    let out_path: String = args.get("out", "BENCH_store.json".to_string());
-    let nodes: usize = if quick { 16 } else { 64 };
-    let frames: usize = if quick { 600 } else { 2500 };
+    let run = Run::capture("BENCH_store.json");
+    let Some((current, one_core)) = run.measure(measure) else {
+        return;
+    };
+    let (nodes, frames) = workload(&run);
+    run.write(
+        "kevents/s for *_kevents_per_s, raw/disk ratio for *_x, \
+         us per query for *_us, ms for *_ms; counts otherwise",
+        vec![
+            ("nodes", Json::Int(nodes as u64)),
+            ("frames", Json::Int(frames as u64)),
+        ],
+        &current,
+        one_core.as_ref(),
+    );
+}
+
+fn measure(run: &Run) -> Entries {
+    let reps = run.reps;
+    let (nodes, frames) = workload(run);
 
     let spec = WindowSpec::new(30, 10).unwrap();
     let scenario = FleetScenario::new(FleetSimConfig::new(42, nodes).with_gaps(5));
@@ -57,11 +62,7 @@ fn main() {
         })
         .collect();
 
-    let mut results: Vec<(String, f64)> = Vec::new();
-    let mut record = |name: &str, value: f64| {
-        println!("{name}: {value:.3}");
-        results.push((name.to_string(), value));
-    };
+    let mut results = Entries::default();
 
     // Ingest throughput + compression ratio per encoding, fleet workload.
     let mut query_store: Option<SignatureStore> = None;
@@ -98,16 +99,15 @@ fn main() {
             samples.push(t0.elapsed().as_secs_f64() * 1000.0);
             last = Some(store);
         }
-        samples.sort_by(f64::total_cmp);
-        let ms = samples[samples.len() / 2];
+        let ms = median(samples);
         let store = last.unwrap();
         let events = store.stats().events;
-        record(
+        results.record(
             &format!("store_ingest_{tag}_kevents_per_s"),
             events as f64 / ms,
         );
         let raw = events * (8 + 8 * store.dim() as u64);
-        record(
+        results.record(
             &format!("store_compression_{tag}_x"),
             raw as f64 / store.bytes_on_disk() as f64,
         );
@@ -133,13 +133,13 @@ fn main() {
             }
         })
         .unwrap();
-    record("store_index_size", index.len() as f64);
+    results.record("store_index_size", index.len() as f64);
     let ms = time_ms(reps, || {
         for q in &queries {
             black_box(index.query(q, 10).unwrap());
         }
     });
-    record(
+    results.record(
         "store_query_exact_k10_us",
         ms * 1000.0 / queries.len() as f64,
     );
@@ -148,7 +148,7 @@ fn main() {
             black_box(index.query_indexed(q, 10, 4).unwrap());
         }
     });
-    record(
+    results.record(
         "store_query_indexed_k10_us",
         ms * 1000.0 / queries.len() as f64,
     );
@@ -166,7 +166,7 @@ fn main() {
     let sweep_max: u64 = std::env::var("STORE_SWEEP_MAX")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 10_000 } else { 1_000_000 });
+        .unwrap_or(if run.quick { 10_000 } else { 1_000_000 });
     let mut state: u64 = 0x2545_f491_4f6c_dd1d;
     let mut next = move || {
         state ^= state << 13;
@@ -214,7 +214,7 @@ fn main() {
             }
         }
         store.flush().unwrap();
-        record(
+        results.record(
             &format!("store_{tag}_ingest_kevents_per_s"),
             store.stats().events as f64 / (t0.elapsed().as_secs_f64() * 1000.0),
         );
@@ -229,11 +229,11 @@ fn main() {
         let t0 = Instant::now();
         let commits = compactor.run_until_idle(&mut store).unwrap();
         compactor.shutdown().unwrap();
-        record(
+        results.record(
             &format!("store_{tag}_compact_ms"),
             t0.elapsed().as_secs_f64() * 1000.0,
         );
-        record(&format!("store_{tag}_compact_runs"), commits as f64);
+        results.record(&format!("store_{tag}_compact_runs"), commits as f64);
 
         // Cold training (k-means + PQ, sidecar written) vs warm reopen
         // (store closed and opened again, quantizer adopted from
@@ -255,9 +255,9 @@ fn main() {
             warm.quantizer_cached(),
             "training after a reopen must hit knn.idx"
         );
-        record(&format!("store_{tag}_train_cold_ms"), cold_ms);
-        record(&format!("store_{tag}_train_warm_ms"), warm_ms);
-        record(
+        results.record(&format!("store_{tag}_train_cold_ms"), cold_ms);
+        results.record(&format!("store_{tag}_train_warm_ms"), warm_ms);
+        results.record(
             &format!("store_{tag}_train_warm_speedup_x"),
             cold_ms / warm_ms.max(1e-6),
         );
@@ -280,7 +280,7 @@ fn main() {
                 black_box(index.query(q, 10).unwrap());
             }
         });
-        record(
+        results.record(
             &format!("store_{tag}_query_exact_k10_us"),
             ms * 1000.0 / exact_queries.len() as f64,
         );
@@ -289,7 +289,7 @@ fn main() {
                 black_box(index.query_indexed(q, 10, 8).unwrap());
             }
         });
-        record(
+        results.record(
             &format!("store_{tag}_query_indexed_k10_us"),
             ms * 1000.0 / queries.len() as f64,
         );
@@ -299,17 +299,5 @@ fn main() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // Assemble JSON by hand (flat snapshot, no serde needed).
-    let mut json = String::from("{\n  \"schema\": 1,\n  \"pr\": 4,\n");
-    json.push_str(&format!(
-        "  \"quick\": {quick},\n  \"reps\": {reps},\n  \"nodes\": {nodes},\n  \"frames\": {frames},\n"
-    ));
-    json.push_str("  \"current\": {\n");
-    for (i, (name, v)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {v:.3}{comma}\n"));
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write snapshot");
-    println!("wrote {out_path}");
+    results
 }

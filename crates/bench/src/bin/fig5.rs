@@ -13,16 +13,15 @@
 //! Usage: `cargo run --release -p cwsmooth-bench --bin fig5
 //!   [--seed S] [--reps R] [--max N]`
 
+use cwsmooth_bench::snapshot::time_ms;
 use cwsmooth_bench::{results_dir, Args, NamedMethod, CS_BLOCK_SWEEP, LAN_WR};
 use cwsmooth_core::baselines::{BodikMethod, LanMethod, TuncerMethod};
 use cwsmooth_core::cs::{CsMethod, CsTrainer, OrderingStrategy};
-use cwsmooth_core::method::SignatureMethod;
 use cwsmooth_data::csv::TableWriter;
 use cwsmooth_linalg::Matrix;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 
 fn random_matrix(n: usize, t: usize, rng: &mut ChaCha8Rng) -> Matrix {
     let data: Vec<f64> = (0..n * t).map(|_| rng.gen::<f64>()).collect();
@@ -70,19 +69,6 @@ fn timing_roster(sw: &Matrix) -> Vec<NamedMethod> {
     out
 }
 
-fn median_time(method: &dyn SignatureMethod, sw: &Matrix, reps: usize) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            let sig = method.compute(sw, None).expect("signature");
-            std::hint::black_box(sig);
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
 fn sweep(
     axis: &str,
     sizes: &[usize],
@@ -115,7 +101,9 @@ fn sweep(
         }
         print!("{size:>8}");
         for named in &roster {
-            let t = median_time(named.method.as_ref(), &sw, reps);
+            let t = time_ms(reps, || {
+                std::hint::black_box(named.method.compute(&sw, None).expect("signature"));
+            }) / 1000.0;
             print!("{:>12.6}", t);
             table
                 .row(&[

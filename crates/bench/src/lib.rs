@@ -1,12 +1,15 @@
 //! Shared experiment plumbing for the figure/table binaries.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (Sec. IV). The heavy lifting — building the method roster,
-//! extracting windowed feature datasets, running the paper's
-//! cross-validation protocol and timing each phase — lives here so the
-//! binaries stay declarative.
+//! Each figure/table binary in `src/bin/` regenerates one artifact of
+//! the paper's evaluation (Sec. IV). The heavy lifting — building the
+//! method roster, extracting windowed feature datasets, running the
+//! paper's cross-validation protocol and timing each phase — lives here
+//! so the binaries stay declarative. The `BENCH_*.json` snapshot
+//! binaries share [`snapshot`].
 
 #![warn(missing_docs)]
+
+pub mod snapshot;
 
 use cwsmooth_core::baselines::{BodikMethod, LanMethod, TuncerMethod};
 use cwsmooth_core::cs::{CsMethod, CsTrainer};
@@ -180,36 +183,6 @@ pub fn parse_algo(args: &Args) -> SplitAlgo {
         "hist256" => SplitAlgo::Histogram { max_bins: 256 },
         _ => SplitAlgo::Exact,
     }
-}
-
-/// Deterministic noisy multi-class data at a bench shape: class id plus
-/// uniform noise in every feature. Shared by the forest criterion bench
-/// and the `bench_snapshot` binary so their timings stay comparable.
-pub fn bench_classification_data(
-    n: usize,
-    d: usize,
-    classes: usize,
-    seed: u64,
-) -> (cwsmooth_linalg::Matrix, Vec<usize>) {
-    use rand::Rng;
-    use rand_chacha::rand_core::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let noise: Vec<f64> = (0..n * d).map(|_| rng.gen::<f64>() * 0.8).collect();
-    let x = cwsmooth_linalg::Matrix::from_fn(n, d, |r, c| (r % classes) as f64 + noise[r * d + c]);
-    let y: Vec<usize> = (0..n).map(|r| r % classes).collect();
-    (x, y)
-}
-
-/// Deterministic regression data (uniform features, sum-of-row target) at
-/// a bench shape; see [`bench_classification_data`].
-pub fn bench_regression_data(n: usize, d: usize, seed: u64) -> (cwsmooth_linalg::Matrix, Vec<f64>) {
-    use rand::Rng;
-    use rand_chacha::rand_core::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let noise: Vec<f64> = (0..n * d).map(|_| rng.gen::<f64>()).collect();
-    let x = cwsmooth_linalg::Matrix::from_fn(n, d, |r, c| noise[r * d + c]);
-    let y: Vec<f64> = (0..n).map(|r| x.row(r).iter().sum::<f64>()).collect();
-    (x, y)
 }
 
 /// Tiny CLI-argument helper: `--key value` pairs with defaults.

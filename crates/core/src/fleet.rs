@@ -158,60 +158,6 @@ pub struct FleetEvent {
     pub signature: CsSignature,
 }
 
-/// An owned, recyclable event envelope: the unit of *hand-off* delivery.
-///
-/// Borrowed delivery ([`FleetSink::on_event`]) keeps the engine's
-/// buffers alive only for the duration of the call, which is exactly
-/// wrong for a sink that moves events to another thread. An envelope
-/// wraps one [`FleetEvent`] whose signature buffers are meant to be
-/// *recycled*: [`FleetEventBuf::copy_from`] refills a used envelope
-/// without touching the allocator (once its vectors have warmed), so a
-/// pool of envelopes circulating through a queue — producer fills,
-/// consumer drains and returns — makes an owned hand-off path as
-/// allocation-free as the borrowed one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetEventBuf {
-    event: FleetEvent,
-}
-
-impl FleetEventBuf {
-    /// A fresh (cold) envelope.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an already-owned event.
-    pub fn from_event(event: FleetEvent) -> Self {
-        Self { event }
-    }
-
-    /// Overwrites the envelope with `src`, reusing the signature
-    /// buffers (no allocation once they have warmed to `src`'s block
-    /// count).
-    pub fn copy_from(&mut self, src: &FleetEvent) {
-        self.event.node = src.node;
-        self.event.window_index = src.window_index;
-        self.event.signature.copy_from(&src.signature);
-    }
-
-    /// The wrapped event.
-    pub fn event(&self) -> &FleetEvent {
-        &self.event
-    }
-
-    /// Mutable access to the wrapped event, so producers can fill an
-    /// envelope in place (for example by swapping a staged event in)
-    /// instead of copying.
-    pub fn event_mut(&mut self) -> &mut FleetEvent {
-        &mut self.event
-    }
-
-    /// Consumes the envelope, returning the event.
-    pub fn into_event(self) -> FleetEvent {
-        self.event
-    }
-}
-
 /// Lifetime ingest counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
@@ -236,20 +182,6 @@ pub struct FleetStats {
 pub trait FleetSink {
     /// Receives one completed-window event.
     fn on_event(&mut self, event: &FleetEvent) -> Result<()>;
-
-    /// Receives one completed-window event *by value*, returning the
-    /// envelope so the caller can recycle its buffers.
-    ///
-    /// The default implementation borrows the wrapped event through
-    /// [`FleetSink::on_event`] and hands the envelope straight back, so
-    /// every existing sink participates in hand-off delivery unchanged.
-    /// Sinks that move events elsewhere (another thread, a wire) should
-    /// override this to take ownership without copying, returning a
-    /// *different* recycled envelope when one is available.
-    fn on_event_owned(&mut self, buf: FleetEventBuf) -> Result<FleetEventBuf> {
-        self.on_event(buf.event())?;
-        Ok(buf)
-    }
 }
 
 /// Collects events by cloning them out of the engine's reused buffers.

@@ -28,7 +28,7 @@
 //!   event-delivery layer into an arbitrary operator tree.
 //! * [`transport`] — off-thread sink branches: the bounded-queue
 //!   [`transport::QueueSink`] adapter runs any sink on its own consumer
-//!   thread with recycled [`fleet::FleetEventBuf`] envelopes, bounded
+//!   thread with recycled boxed [`fleet::FleetEvent`] envelopes, bounded
 //!   backpressure (block or drop-oldest), and first-error propagation
 //!   back to the ingest thread.
 //! * [`scale`] — signature rescaling across block counts and middle-block
@@ -76,7 +76,7 @@ pub mod transport;
 
 pub use cs::{CsMethod, CsSignature, CsTrainer};
 pub use error::{CoreError, Result};
-pub use fleet::{FleetEngine, FleetEvent, FleetEventBuf, FleetFrame, FleetSink, FleetStats};
+pub use fleet::{FleetEngine, FleetEvent, FleetFrame, FleetSink, FleetStats};
 pub use method::SignatureMethod;
 pub use model::CsModel;
 pub use online::OnlineCs;

@@ -26,7 +26,7 @@
 //! ingest loop.
 
 use crate::error::Result;
-use crate::fleet::{FleetEvent, FleetEventBuf, FleetSink};
+use crate::fleet::{FleetEvent, FleetSink};
 use cwsmooth_obs::{MetricsHub, Observe, Snapshot};
 
 /// Forwarding through a mutable reference, so long-lived sinks can be
@@ -36,10 +36,6 @@ impl<S: FleetSink + ?Sized> FleetSink for &mut S {
     fn on_event(&mut self, event: &FleetEvent) -> Result<()> {
         (**self).on_event(event)
     }
-
-    fn on_event_owned(&mut self, buf: FleetEventBuf) -> Result<FleetEventBuf> {
-        (**self).on_event_owned(buf)
-    }
 }
 
 /// Forwarding through a box, so heterogeneous sinks can live behind
@@ -47,10 +43,6 @@ impl<S: FleetSink + ?Sized> FleetSink for &mut S {
 impl<S: FleetSink + ?Sized> FleetSink for Box<S> {
     fn on_event(&mut self, event: &FleetEvent) -> Result<()> {
         (**self).on_event(event)
-    }
-
-    fn on_event_owned(&mut self, buf: FleetEventBuf) -> Result<FleetEventBuf> {
-        (**self).on_event_owned(buf)
     }
 }
 
@@ -89,15 +81,6 @@ macro_rules! impl_tee {
             fn on_event(&mut self, event: &FleetEvent) -> Result<()> {
                 $( (self.0).$idx.on_event(event)?; )*
                 (self.0).$lidx.on_event(event)
-            }
-
-            fn on_event_owned(&mut self, buf: FleetEventBuf) -> Result<FleetEventBuf> {
-                // Every sink but the last borrows; the last takes
-                // ownership — same field order, same first-error-wins
-                // contract, but one branch (a queue, say) gets the
-                // envelope without a copy.
-                $( (self.0).$idx.on_event(buf.event())?; )*
-                (self.0).$lidx.on_event_owned(buf)
             }
         }
     };
@@ -197,18 +180,6 @@ impl<S: FleetSink + ?Sized> FleetSink for TeeVec<S> {
             sink.on_event(event)?;
         }
         Ok(())
-    }
-
-    fn on_event_owned(&mut self, mut buf: FleetEventBuf) -> Result<FleetEventBuf> {
-        // Mirrors the tuple `Tee`: all but the last sink borrow, the
-        // last takes the envelope without a copy.
-        if let Some((last, rest)) = self.sinks.split_last_mut() {
-            for sink in rest {
-                sink.on_event(buf.event())?;
-            }
-            buf = last.on_event_owned(buf)?;
-        }
-        Ok(buf)
     }
 }
 
@@ -530,12 +501,6 @@ impl<S: FleetSink + Observe> FleetSink for Publish<S> {
         self.sink.on_event(event)?;
         self.tick();
         Ok(())
-    }
-
-    fn on_event_owned(&mut self, buf: FleetEventBuf) -> Result<FleetEventBuf> {
-        let buf = self.sink.on_event_owned(buf)?;
-        self.tick();
-        Ok(buf)
     }
 }
 

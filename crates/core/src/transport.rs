@@ -17,7 +17,7 @@
 //! any operator tree: `Tee((QueueSink::spawn(store), QueueSink::spawn(
 //! detector)))` runs persistence and classification each on their own
 //! core while the ingest thread only ever copies an event into a pooled
-//! [`FleetEventBuf`] envelope and enqueues it.
+//! boxed [`FleetEvent`] and enqueues it.
 //!
 //! The queue is one `Mutex` over a preallocated `VecDeque` of boxed
 //! envelopes and the recycle pool, plus one `Condvar`, `not_empty`, on
@@ -59,7 +59,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::error::{CoreError, Result};
-use crate::fleet::{FleetEvent, FleetEventBuf, FleetSink};
+use crate::fleet::{FleetEvent, FleetSink};
 use cwsmooth_obs::{Counter, Gauge, Observe, Registry, Snapshot};
 
 /// What the producer does when the queue is full.
@@ -139,13 +139,13 @@ struct State {
     /// a push never reallocates. An envelope is boxed so that a push or
     /// a pop moves one pointer under the lock, and the same allocation
     /// circulates through the recycle pool.
-    queue: VecDeque<Box<FleetEventBuf>>,
+    queue: VecDeque<Box<FleetEvent>>,
     /// Return path: the consumer appends each spent envelope, the
     /// producer swaps the whole vector into its local pool when that
     /// runs dry (boxed for the same reason as `queue`, so not
     /// `clippy::vec_box` waste).
     #[allow(clippy::vec_box)]
-    recycled: Vec<Box<FleetEventBuf>>,
+    recycled: Vec<Box<FleetEvent>>,
     /// Envelopes the inner sink accepted.
     delivered: u64,
     /// Producer has stopped pushing; consumer drains and exits.
@@ -202,12 +202,10 @@ impl std::fmt::Debug for Shared {
 /// consumer thread behind a bounded queue.
 ///
 /// The handle is the *producer* half: [`FleetSink::on_event`] copies
-/// the borrowed event into a recycled boxed [`FleetEventBuf`] and
-/// enqueues the box; [`FleetSink::on_event_owned`] swaps the payload
-/// into a pooled box (a header move, not a signature copy). The spawned
-/// thread pops boxes, feeds the inner sink, and hands them back through
-/// the recycle pool, so the steady-state producer path allocates
-/// nothing.
+/// the borrowed event into a recycled boxed [`FleetEvent`] and enqueues
+/// the box. The spawned thread pops boxes, lends each event to the
+/// inner sink, and hands the boxes back through the recycle pool, so
+/// the steady-state producer path allocates nothing.
 ///
 /// [`QueueSink::join`] (or dropping the handle) signals end-of-stream,
 /// drains the queue, joins the thread and returns the inner sink
@@ -234,7 +232,7 @@ pub struct QueueSink<S> {
     /// consumer's recycled vector (boxed for the same reason as
     /// `State::queue`).
     #[allow(clippy::vec_box)]
-    pool: Vec<Box<FleetEventBuf>>,
+    pool: Vec<Box<FleetEvent>>,
     policy: QueuePolicy,
     /// Producer-side telemetry: this handle is the queue's only pusher
     /// and its only evictor, so these are plain fields.
@@ -465,7 +463,7 @@ impl<S> QueueSink<S> {
 
     /// Fetches a recycled envelope, allocating only while the pool is
     /// still warming up.
-    fn envelope(&mut self) -> Box<FleetEventBuf> {
+    fn envelope(&mut self) -> Box<FleetEvent> {
         if self.pool.is_empty() {
             // Take everything the consumer has recycled so far before
             // falling back to the allocator.
@@ -477,7 +475,7 @@ impl<S> QueueSink<S> {
     /// Enqueues `buf` under the configured full-queue policy. On
     /// success updates push telemetry; on failure (the consumer's inner
     /// sink errored) returns the latched error.
-    fn enqueue(&mut self, buf: Box<FleetEventBuf>) -> Result<()> {
+    fn enqueue(&mut self, buf: Box<FleetEvent>) -> Result<()> {
         let shared = &*self.shared;
         let mut state = shared.lock();
         loop {
@@ -559,17 +557,12 @@ impl<S> Observe for QueueSink<S> {
 impl<S> FleetSink for QueueSink<S> {
     fn on_event(&mut self, event: &FleetEvent) -> Result<()> {
         let mut buf = self.envelope();
-        buf.copy_from(event);
+        // Field by field, so the recycled signature buffers are reused
+        // rather than reallocated.
+        buf.node = event.node;
+        buf.window_index = event.window_index;
+        buf.signature.copy_from(&event.signature);
         self.enqueue(buf)
-    }
-
-    fn on_event_owned(&mut self, buf: FleetEventBuf) -> Result<FleetEventBuf> {
-        // Swap the payload into a pooled box (a header move, not a
-        // signature copy) and hand the previous pooled envelope back.
-        let mut boxed = self.envelope();
-        let prev = std::mem::replace(&mut *boxed, buf);
-        self.enqueue(boxed)?;
-        Ok(prev)
     }
 }
 
@@ -586,21 +579,20 @@ impl<S> Drop for QueueSink<S> {
 fn consumer_loop<S: FleetSink>(shared: &Shared, mut inner: S, delivered: Option<Counter>) -> S {
     // The envelope handled last and whether the inner sink accepted it,
     // settled in the same critical section as the next pop.
-    let mut spent: Option<(Box<FleetEventBuf>, bool)> = None;
+    let mut spent: Option<(Box<FleetEvent>, bool)> = None;
     loop {
         let mut state = shared.lock();
         if let Some((buf, accepted)) = spent.take() {
             state.recycled.push(buf);
             state.delivered += u64::from(accepted);
         }
-        let Some((mut buf, failed)) = next_envelope(shared, state) else {
+        let Some((buf, failed)) = next_envelope(shared, state) else {
             return inner;
         };
         let mut accepted = false;
         if !failed {
-            match inner.on_event_owned(std::mem::take(&mut *buf)) {
-                Ok(envelope) => {
-                    *buf = envelope;
+            match inner.on_event(&buf) {
+                Ok(()) => {
                     accepted = true;
                     if let Some(counter) = &delivered {
                         counter.inc();
@@ -627,7 +619,7 @@ fn consumer_loop<S: FleetSink>(shared: &Shared, mut inner: S, delivered: Option<
 fn next_envelope(
     shared: &Shared,
     mut state: MutexGuard<'_, State>,
-) -> Option<(Box<FleetEventBuf>, bool)> {
+) -> Option<(Box<FleetEvent>, bool)> {
     loop {
         if state.abandoned {
             return None;
@@ -714,20 +706,6 @@ mod tests {
         let (collect, res) = sink.join();
         res.unwrap();
         assert_eq!(collect.events(), &sent[..], "bit-identical, in order");
-    }
-
-    #[test]
-    fn owned_handoff_round_trips_envelopes() {
-        let mut sink = QueueSink::spawn(Collect::new());
-        let mut buf = FleetEventBuf::new();
-        for i in 0..50 {
-            buf.copy_from(&event(1, i));
-            buf = sink.on_event_owned(buf).unwrap();
-        }
-        let (collect, res) = sink.join();
-        res.unwrap();
-        assert_eq!(collect.events().len(), 50);
-        assert_eq!(collect.events()[49], event(1, 49));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::wire::{self, FrameKind, FrameReader, ReadOutcome};
 use cwsmooth_core::error::CoreError;
 use cwsmooth_core::fleet::{FleetEvent, FleetSink};
 use cwsmooth_core::pipeline::{Collect, Publish};
-use cwsmooth_obs::{Counter, Observe, Registry, Snapshot};
+use cwsmooth_obs::{Counter, Observe, Registry};
 use cwsmooth_store::codec::BlockCodec;
 use cwsmooth_store::SignatureStore;
 use std::time::Duration;
@@ -497,26 +497,6 @@ impl Server {
     }
 }
 
-/// Snapshot of [`Server::stats`] under `stage="server"` — the same
-/// series names as [`Server::attach_metrics`], so either path yields an
-/// identical scrape. Do not use both on one server: the registry and
-/// the published snapshot would each emit the series.
-impl Observe for Server {
-    fn observe(&self, out: &mut Snapshot) {
-        let labels = &[("stage", "server")];
-        out.counter("cws_connections_total", labels, self.stats.connections);
-        out.counter("cws_frames_total", labels, self.stats.frames);
-        out.counter("cws_events_total", labels, self.stats.events);
-        out.counter("cws_deduped_total", labels, self.stats.deduped);
-        out.counter(
-            "cws_failed_connections_total",
-            labels,
-            self.stats.failed_connections,
-        );
-        out.counter("cws_acks_total", labels, self.stats.acks);
-    }
-}
-
 /// One-call server: accepts and decodes connections into `sink` until
 /// the acceptor closes, returning the final counters. Equivalent to
 /// [`Server::new`] + [`Server::serve`] + [`Server::stats`].
@@ -708,8 +688,8 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_and_observe_mirror_stats() {
-        use cwsmooth_obs::Value;
+    fn attached_metrics_mirror_stats() {
+        use cwsmooth_obs::{Snapshot, Value};
 
         let hub = ChaosHub::new();
         let mut dialer = hub.dialer(ChaosConfig::default());
@@ -727,9 +707,7 @@ mod tests {
             let mut events: Vec<FleetEvent> = Vec::new();
             let mut link = acceptor.accept().unwrap();
             server.serve_conn(link.as_mut(), &mut events).unwrap();
-            let mut snap = Snapshot::new();
-            server.observe(&mut snap);
-            (server.stats(), snap)
+            server.stats()
         });
         let mut link = dialer.dial(Duration::from_secs(1)).unwrap();
         let mut reader = FrameReader::new();
@@ -748,7 +726,7 @@ mod tests {
         write_frame(link.as_mut(), FrameKind::Bye, 4, &[]);
         read_frame_kind(&mut reader, link.as_mut());
         drop(link);
-        let (stats, snap) = server_thread.join().unwrap();
+        let stats = server_thread.join().unwrap();
 
         // Live registry counters mirror stats exactly.
         let mut live = Snapshot::new();
@@ -766,17 +744,6 @@ mod tests {
         assert_eq!(value("cws_acks_total"), Value::Counter(stats.acks));
         assert_eq!(stats.events, 3);
         assert_eq!(stats.deduped, 1);
-
-        // The Observe snapshot carries the same series and values.
-        for sample in snap.samples() {
-            assert_eq!(
-                sample.labels,
-                vec![("stage".to_string(), "server".to_string())]
-            );
-            if let Some(live_sample) = live.samples().iter().find(|s| s.name == sample.name) {
-                assert_eq!(live_sample.value, sample.value, "{}", sample.name);
-            }
-        }
     }
 
     #[test]

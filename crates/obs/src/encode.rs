@@ -166,7 +166,7 @@ pub fn encode_prometheus(snap: &Snapshot) -> String {
 
 /// Escapes a string for a JSON literal (quotes, backslashes, control
 /// characters).
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -12,8 +12,8 @@
 //! Generation is a pure deterministic function of `(seed, node, t)`:
 //! nothing is stored, so a million-node fleet costs no memory and any
 //! `(node, t)` cell can be (re)generated independently — which is also what
-//! makes the scenario usable from criterion benchmarks without huge
-//! fixtures.
+//! makes the scenario usable from the snapshot binaries, examples and
+//! perfbench without huge fixtures.
 //!
 //! # Fault injection
 //!

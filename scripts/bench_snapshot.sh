@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Runs the ML-substrate, CS-stage, signature-store and streaming-pipeline
-# benchmarks and refreshes the machine-readable perf snapshots
-# (BENCH_ml.json, BENCH_store.json and BENCH_pipeline.json) used to track
-# the performance trajectory across PRs.
+# Refreshes the machine-readable perf snapshots (BENCH_ml.json,
+# BENCH_store.json and BENCH_pipeline.json) used to track the
+# performance trajectory across PRs. Each binary measures every entry on
+# all cores and again in a child run under `taskset -c 0`.
 #
-#   ./scripts/bench_snapshot.sh          # full run (criterion + snapshots)
-#   BENCH_QUICK=1 ./scripts/bench_snapshot.sh   # CI smoke: snapshots only,
-#                                               # single rep per entry
+#   ./scripts/bench_snapshot.sh                 # full run
+#   BENCH_QUICK=1 ./scripts/bench_snapshot.sh   # CI smoke: one rep per
+#                                               # entry, smaller workloads
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,12 +18,6 @@ if ! cargo run --release -q -p cwsmooth-lint -- --workspace; then
     exit 1
 fi
 
-if [ -z "${BENCH_QUICK:-}" ]; then
-    cargo bench --bench forest
-    cargo bench --bench cs_stages
-    cargo bench --bench store
-    cargo bench --bench pipeline
-fi
 cargo run --release -p cwsmooth-bench --bin bench_snapshot
 cargo run --release -p cwsmooth-bench --bin bench_store_snapshot
 cargo run --release -p cwsmooth-bench --bin bench_pipeline_snapshot

@@ -5,7 +5,7 @@
 //! signature emission, envelope refill from the recycle pool, queue push)
 //! allocates **zero** heap bytes in steady state. Consumer threads own
 //! the sinks and their costs; the ingest thread only copies into
-//! recycled `FleetEventBuf` envelopes.
+//! recycled boxed `FleetEvent` envelopes.
 //!
 //! Measured with a counting global allocator filtered to the ingest
 //! (test) thread — the consumer threads and the libtest harness thread
