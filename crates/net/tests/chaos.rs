@@ -422,20 +422,39 @@ fn geometry_mismatch_latches_the_client() {
     assert_eq!(store.events(), 0, "no mismatched event may be committed");
 }
 
-/// Minimal self-cleaning scratch directories under `target/`.
+/// Scratch directories under the system temp dir, removed when their
+/// guard drops (declare the guard first, so it outlives the stores and
+/// spill files inside it).
 mod tempdir {
-    use std::path::PathBuf;
+    use std::ops::Deref;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static NEXT: AtomicU64 = AtomicU64::new(0);
 
-    pub fn scratch(tag: &str) -> PathBuf {
+    /// A scratch directory that is deleted, with everything in it, on drop.
+    pub struct Scratch(PathBuf);
+
+    impl Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    pub fn scratch(tag: &str) -> Scratch {
         // ordering: Relaxed — a unique counter, no synchronization.
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("cwsmooth-net-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        Scratch(dir)
     }
 }

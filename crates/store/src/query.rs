@@ -32,10 +32,21 @@
 //! ([`SignatureIndex::with_coarse_persisted`]), keyed by the store's
 //! [`fingerprint`](SignatureStore::fingerprint) — a warm reopen loads
 //! centroids, assignments and PQ codes instead of re-clustering.
+//!
+//! Every centroid distance — training's assignment passes, PQ encoding,
+//! a query's cell ranking and its ADC table — goes through one blocked
+//! kernel that scores eight centroids per sweep over a row; training's
+//! passes run an AVX2 build of it where the CPU has one. Each distance
+//! is summed in the scalar order, so the kernel's bits are the scalar
+//! loop's. Assignment passes split their rows over all available cores,
+//! while every accumulation stays serial in row order: training gives
+//! identical centroids, lists, codes and `knn.idx` bytes on any core
+//! count.
 
 use crate::error::{Result, StoreError};
 use crate::sidecar::{KnnSidecar, PqSidecar};
 use crate::store::SignatureStore;
+use std::sync::{Mutex, PoisonError};
 
 /// Lloyd-iteration training sample cap: past this many rows, k-means
 /// (coarse and PQ alike) trains on an evenly strided sample. The final
@@ -49,6 +60,19 @@ const RERANK_FACTOR: usize = 8;
 
 /// Floor of the re-rank pool, so small `k` still re-ranks a healthy set.
 const RERANK_MIN: usize = 64;
+
+/// Centroids per block of the distance kernel: the lanes that one sweep
+/// over a row's dimensions scores side by side.
+const LANES: usize = 8;
+
+/// Distance terms (rows × centroids × dimensions) below which an
+/// assignment pass runs inline: a smaller pass takes not much longer
+/// than starting its threads would.
+const PAR_MIN_WORK: usize = 1 << 18;
+
+/// Row chunks per thread of a parallel pass, so a thread that the host
+/// slows down leaves its remaining chunks to the others.
+const CHUNKS_PER_THREAD: usize = 4;
 
 /// Similarity metric between signature feature vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,6 +115,8 @@ struct Coarse {
     nlist: usize,
     /// `nlist × dim`, in the index's preprocessed space.
     centroids: Vec<f64>,
+    /// `centroids`, transposed for the distance kernel.
+    book: Blocked,
     /// `lists[c]` holds the row ids assigned to centroid `c`.
     lists: Vec<Vec<u32>>,
 }
@@ -100,19 +126,35 @@ struct Coarse {
 struct Pq {
     /// Subquantizer count; divides the feature dimension.
     m: usize,
-    /// `dim / m` — features per subquantizer.
-    dsub: usize,
     /// `m × 256 × dsub`, subquantizer-major. When the corpus holds
     /// fewer than 256 rows the unused codewords stay at their seeded
     /// values and codes simply never reference them.
     codebooks: Vec<f64>,
     /// `n × m`, vector-major.
     codes: Vec<u8>,
+    /// One transposed book per subquantizer, all 256 codewords each.
+    books: Vec<Blocked>,
+}
+
+impl Pq {
+    /// `dsub` is `dim / m`, the features per subquantizer.
+    fn new(m: usize, dsub: usize, codebooks: Vec<f64>, codes: Vec<u8>) -> Self {
+        let books = (0..m)
+            .map(|j| Blocked::new(&codebooks[j * 256 * dsub..(j + 1) * 256 * dsub], 256, dsub))
+            .collect();
+        Self {
+            m,
+            codebooks,
+            codes,
+            books,
+        }
+    }
 }
 
 /// Index of the nearest of `k` centroids (each `dim` wide) to `row`.
 /// Ties resolve to the lowest index, so the result is a pure function
-/// of the inputs.
+/// of the inputs. The scalar oracle of [`Blocked::nearest`].
+#[cfg(test)]
 fn nearest(row: &[f64], centroids: &[f64], k: usize, dim: usize) -> u32 {
     let mut best = (f64::INFINITY, 0u32);
     for c in 0..k {
@@ -122,6 +164,262 @@ fn nearest(row: &[f64], centroids: &[f64], k: usize, dim: usize) -> u32 {
         }
     }
     best.1
+}
+
+/// `k` centroids of width `dim`, transposed for the distance kernel:
+/// blocks of [`LANES`] centroids, dimension-major inside each block.
+#[derive(Debug)]
+struct Blocked {
+    k: usize,
+    dim: usize,
+    /// `blocks[b·dim + d][l]` is coordinate `d` of centroid `b·LANES + l`.
+    /// Lanes past `k` hold `+∞`, whose distance (`+∞`, or NaN against an
+    /// infinite row) never passes the argmin's strict `<`.
+    blocks: Vec<[f64; LANES]>,
+}
+
+impl Blocked {
+    /// Transposes the first `k` centroids of the row-major `centroids`.
+    fn new(centroids: &[f64], k: usize, dim: usize) -> Self {
+        let mut blocks = vec![[f64::INFINITY; LANES]; k.div_ceil(LANES) * dim];
+        for c in 0..k {
+            for d in 0..dim {
+                blocks[c / LANES * dim + d][c % LANES] = centroids[c * dim + d];
+            }
+        }
+        Self { k, dim, blocks }
+    }
+
+    /// Squared distances from `x` to the centroids of block `b`. Each
+    /// lane sums `(x − c)²` over the dimensions in [`sq_dist`]'s order;
+    /// its first term is a square, never `-0.0`, so starting at `0.0`
+    /// instead of `sum`'s `-0.0` leaves every bit as `sq_dist` has it.
+    #[inline(always)]
+    fn block(&self, b: usize, x: &[f64]) -> [f64; LANES] {
+        let mut acc = [0.0; LANES];
+        for (&xd, c) in x.iter().zip(&self.blocks[b * self.dim..(b + 1) * self.dim]) {
+            for (a, &cl) in acc.iter_mut().zip(c) {
+                let t = xd - cl;
+                *a += t * t;
+            }
+        }
+        acc
+    }
+
+    /// Index of the centroid nearest to `x`. The lanes are scanned in
+    /// centroid order with a strict `<`, so ties go to the lowest index
+    /// and the answer is the scalar `nearest`'s.
+    #[inline(always)]
+    fn nearest(&self, x: &[f64]) -> u32 {
+        let mut best = (f64::INFINITY, 0u32);
+        for b in 0..self.k.div_ceil(LANES) {
+            for (c, d) in (b * LANES..).zip(self.block(b, x)) {
+                if d < best.0 {
+                    best = (d, c as u32);
+                }
+            }
+        }
+        best.1
+    }
+
+    /// Writes the squared distance from `x` to each centroid, in
+    /// centroid order, to `out[..k]`.
+    #[inline(always)]
+    fn dists(&self, x: &[f64], out: &mut [f64]) {
+        for (b, dst) in out[..self.k].chunks_mut(LANES).enumerate() {
+            dst.copy_from_slice(&self.block(b, x)[..dst.len()]);
+        }
+    }
+}
+
+/// The rows an assignment pass reads: row `r` is `vecs[i·dim..][..dim]`
+/// with `i = ids[r]`, or `i = r` when there are no `ids`.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    vecs: &'a [f64],
+    dim: usize,
+    ids: Option<&'a [u32]>,
+}
+
+impl<'a> Rows<'a> {
+    #[inline(always)]
+    fn get(&self, r: usize) -> &'a [f64] {
+        let i = self.ids.map_or(r, |ids| ids[r] as usize);
+        &self.vecs[i * self.dim..(i + 1) * self.dim]
+    }
+}
+
+/// What an assignment pass writes: a coarse cell id or a PQ code.
+trait Slot: Copy + Send {
+    fn of(c: u32) -> Self;
+}
+
+impl Slot for u32 {
+    #[inline(always)]
+    fn of(c: u32) -> Self {
+        c
+    }
+}
+
+impl Slot for u8 {
+    /// Codes index at most 256 codewords.
+    #[inline(always)]
+    fn of(c: u32) -> Self {
+        c as u8
+    }
+}
+
+/// The loop of every assignment pass, over one chunk of rows starting at
+/// row `first`. Row `r` owns the slots `out[(r − first)·B..][..B]` for
+/// `B = books.len()`: slot `j` becomes the nearest centroid of
+/// `books[j]` to the `j`-th `books[j].dim`-wide slice of the row's
+/// features past `offset`.
+#[inline(always)]
+fn assign_body<T: Slot>(books: &[Blocked], rows: Rows, offset: usize, first: usize, out: &mut [T]) {
+    for (r, slots) in (first..).zip(out.chunks_exact_mut(books.len())) {
+        let row = &rows.get(r)[offset..];
+        for (j, (slot, book)) in slots.iter_mut().zip(books).enumerate() {
+            *slot = T::of(book.nearest(&row[j * book.dim..(j + 1) * book.dim]));
+        }
+    }
+}
+
+/// [`assign_body`] compiled for AVX2. [`Kernel::assign`] calls it, and
+/// only where the CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn assign_avx2<T: Slot>(books: &[Blocked], rows: Rows, offset: usize, first: usize, out: &mut [T]) {
+    assign_body(books, rows, offset, first, out)
+}
+
+/// The query-side loop: block `j` of `out` (`books[j].k` entries, blocks
+/// back to back) becomes the squared distances from the `j`-th
+/// `books[j].dim`-wide slice of `x` to every centroid of `books[j]`.
+#[inline(always)]
+fn dists_body(books: &[Blocked], x: &[f64], out: &mut [f64]) {
+    let mut at = 0;
+    for (j, book) in books.iter().enumerate() {
+        book.dists(
+            &x[j * book.dim..(j + 1) * book.dim],
+            &mut out[at..at + book.k],
+        );
+        at += book.k;
+    }
+}
+
+/// [`dists_body`] compiled for AVX2. Only the parity tests run it (see
+/// `Kernel::dists`), to check the AVX2 build of [`Blocked::block`] bit
+/// for bit; a query runs the portable [`dists_body`].
+#[cfg(all(test, target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn dists_avx2(books: &[Blocked], x: &[f64], out: &mut [f64]) {
+    dists_body(books, x, out)
+}
+
+/// Which build of the kernel loops runs. AVX2 is picked only by
+/// [`Kernel::detect`], after checking that this CPU has it.
+#[derive(Clone, Copy, Debug)]
+struct Kernel {
+    avx2: bool,
+}
+
+impl Kernel {
+    /// The portable build, which runs on any CPU.
+    #[cfg(test)]
+    const PORTABLE: Kernel = Kernel { avx2: false };
+
+    /// The fastest build this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Self { avx2 }
+    }
+
+    /// [`assign_body`] on this build.
+    fn assign<T: Slot>(
+        self,
+        books: &[Blocked],
+        rows: Rows,
+        offset: usize,
+        first: usize,
+        out: &mut [T],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: only `detect` sets `avx2`, after finding AVX2 on
+            // this CPU, the one feature `assign_avx2` is compiled for.
+            return unsafe { assign_avx2(books, rows, offset, first, out) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = self.avx2;
+        assign_body(books, rows, offset, first, out)
+    }
+
+    /// [`dists_body`] on this build: `out` holds `Σ books[j].k` entries.
+    #[cfg(test)]
+    fn dists(self, books: &[Blocked], x: &[f64], out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: only `detect` sets `avx2`, after finding AVX2 on
+            // this CPU, the one feature `dists_avx2` is compiled for.
+            return unsafe { dists_avx2(books, x, out) };
+        }
+        dists_body(books, x, out)
+    }
+}
+
+/// One assignment pass: fills `out`, `books.len()` slots per row of
+/// `rows` (see [`assign_body`]), over disjoint row chunks on `threads`
+/// threads, the calling one included. Each slot is a pure function of
+/// its row and book, so no thread count or chunking changes a bit of
+/// the result.
+fn assign_pass<T: Slot>(
+    books: &[Blocked],
+    rows: Rows,
+    offset: usize,
+    out: &mut [T],
+    threads: usize,
+) {
+    let kernel = Kernel::detect();
+    let per_row = books.len();
+    let n_rows = out.len() / per_row;
+    let threads = threads.min(n_rows);
+    if threads <= 1 {
+        return kernel.assign(books, rows, offset, 0, out);
+    }
+    let chunk_rows = n_rows.div_ceil(threads * CHUNKS_PER_THREAD);
+    let chunks = Mutex::new(out.chunks_mut(chunk_rows * per_row).enumerate());
+    let work = || loop {
+        // The lock is held only across `next()`, which cannot leave the
+        // iterator half-advanced, so a poisoned lock is still sound.
+        let next = chunks.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some((i, chunk)) = next else { return };
+        kernel.assign(books, rows, offset, i * chunk_rows, chunk);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            // A thread the OS refuses leaves its chunks to the others.
+            let _ = std::thread::Builder::new().spawn_scoped(s, work);
+        }
+        work();
+    });
+}
+
+/// Threads for an assignment pass of `work` distance terms: `threads`
+/// once the pass repays starting them, else one.
+fn pass_threads(threads: usize, work: usize) -> usize {
+    if work < PAR_MIN_WORK {
+        1
+    } else {
+        threads
+    }
+}
+
+/// The cores this process may run on.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// An immutable k-NN index over a snapshot of a [`SignatureStore`].
@@ -228,6 +526,14 @@ impl SignatureIndex {
     /// sample — training cost stays flat in corpus size while the final
     /// assignment pass still covers every row.
     pub fn with_coarse(mut self, nlist: usize, iters: usize) -> Result<Self> {
+        self.train_coarse(nlist, iters, available_threads())?;
+        Ok(self)
+    }
+
+    /// [`with_coarse`](Self::with_coarse) with its assignment passes on
+    /// up to `threads` threads. Returns the final assignment of every
+    /// row, the one the `knn.idx` sidecar stores.
+    fn train_coarse(&mut self, nlist: usize, iters: usize, threads: usize) -> Result<Vec<u32>> {
         let n = self.keys.len();
         if nlist == 0 {
             return Err(StoreError::Invalid("nlist must be >= 1".into()));
@@ -249,12 +555,17 @@ impl SignatureIndex {
             let src = sample[(c * sn / nlist).min(sn - 1)] as usize;
             centroids[c * dim..(c + 1) * dim].copy_from_slice(self.row(src));
         }
+        let rows = Rows {
+            vecs: &self.vecs,
+            dim,
+            ids: Some(&sample),
+        };
+        let lloyd_threads = pass_threads(threads, sn * nlist * dim);
         let mut assign = vec![0u32; sn];
         for _ in 0..iters.max(1) {
             // Assignment pass (over the training sample).
-            for (si, a) in assign.iter_mut().enumerate() {
-                *a = nearest(self.row(sample[si] as usize), &centroids, nlist, dim);
-            }
+            let book = Blocked::new(&centroids, nlist, dim);
+            assign_pass(&[book], rows, 0, &mut assign, lloyd_threads);
             // Update pass.
             centroids.fill(0.0);
             let mut counts = vec![0u64; nlist];
@@ -302,17 +613,28 @@ impl SignatureIndex {
         }
         // Final assignment → inverted lists. Every row, not just the
         // training sample.
+        let book = Blocked::new(&centroids, nlist, dim);
+        let all = Rows { ids: None, ..rows };
+        let mut assign = vec![0u32; n];
+        let final_threads = pass_threads(threads, n * nlist * dim);
+        assign_pass(
+            std::slice::from_ref(&book),
+            all,
+            0,
+            &mut assign,
+            final_threads,
+        );
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
-        for i in 0..n {
-            let best = nearest(self.row(i), &centroids, nlist, dim);
-            lists[best as usize].push(i as u32);
+        for (i, &c) in assign.iter().enumerate() {
+            lists[c as usize].push(i as u32);
         }
         self.coarse = Some(Coarse {
             nlist,
             centroids,
+            book,
             lists,
         });
-        Ok(self)
+        Ok(assign)
     }
 
     /// Trains `m` 8-bit product-quantization subquantizers over the
@@ -323,6 +645,13 @@ impl SignatureIndex {
     /// exact distances. Requires a trained coarse quantizer; `m` must
     /// divide the feature dimension.
     pub fn with_pq(mut self, m: usize, iters: usize) -> Result<Self> {
+        self.train_pq(m, iters, available_threads())?;
+        Ok(self)
+    }
+
+    /// [`with_pq`](Self::with_pq) with its assignment and encoding passes
+    /// on up to `threads` threads.
+    fn train_pq(&mut self, m: usize, iters: usize, threads: usize) -> Result<()> {
         if self.coarse.is_none() {
             return Err(StoreError::Invalid(
                 "train the coarse quantizer (with_coarse) before with_pq".into(),
@@ -340,6 +669,13 @@ impl SignatureIndex {
         let step = n.div_ceil(TRAIN_SAMPLE_CAP).max(1);
         let sample: Vec<u32> = (0..n).step_by(step).map(|i| i as u32).collect();
         let sn = sample.len();
+        let rows = Rows {
+            vecs: &self.vecs,
+            dim: self.dim,
+            ids: Some(&sample),
+        };
+        let lloyd_threads = pass_threads(threads, sn * ksub * dsub);
+        let mut assign = vec![0u32; sn];
         let mut codebooks = vec![0.0; m * 256 * dsub];
         for j in 0..m {
             let book = &mut codebooks[j * 256 * dsub..(j + 1) * 256 * dsub];
@@ -350,11 +686,13 @@ impl SignatureIndex {
                     .copy_from_slice(&self.vecs[src * self.dim + j * dsub..][..dsub]);
             }
             for _ in 0..iters.max(1) {
+                let blocked = Blocked::new(book, ksub, dsub);
+                assign_pass(&[blocked], rows, j * dsub, &mut assign, lloyd_threads);
                 let mut sums = vec![0.0; ksub * dsub];
                 let mut counts = vec![0u64; ksub];
-                for &si in &sample {
+                for (&si, &c) in sample.iter().zip(&assign) {
+                    let c = c as usize;
                     let sub = &self.vecs[si as usize * self.dim + j * dsub..][..dsub];
-                    let c = nearest(sub, book, ksub, dsub) as usize;
                     counts[c] += 1;
                     for (d, &v) in sums[c * dsub..(c + 1) * dsub].iter_mut().zip(sub) {
                         *d += v;
@@ -377,21 +715,20 @@ impl SignatureIndex {
             }
         }
         // Encode every row against the trained codebooks.
+        let books: Vec<Blocked> = (0..m)
+            .map(|j| Blocked::new(&codebooks[j * 256 * dsub..], ksub, dsub))
+            .collect();
         let mut codes = vec![0u8; n * m];
-        for i in 0..n {
-            let row = self.row(i);
-            for j in 0..m {
-                let book = &codebooks[j * 256 * dsub..(j + 1) * 256 * dsub];
-                codes[i * m + j] = nearest(&row[j * dsub..(j + 1) * dsub], book, ksub, dsub) as u8;
-            }
-        }
-        self.pq = Some(Pq {
-            m,
-            dsub,
-            codebooks,
-            codes,
-        });
-        Ok(self)
+        let encode_threads = pass_threads(threads, n * m * ksub * dsub);
+        assign_pass(
+            &books,
+            Rows { ids: None, ..rows },
+            0,
+            &mut codes,
+            encode_threads,
+        );
+        self.pq = Some(Pq::new(m, dsub, codebooks, codes));
+        Ok(())
     }
 
     /// [`with_coarse`](Self::with_coarse) — plus
@@ -416,11 +753,12 @@ impl SignatureIndex {
             self.cached = true;
             return Ok(self);
         }
-        self = self.with_coarse(nlist, iters)?;
+        let threads = available_threads();
+        let assign = self.train_coarse(nlist, iters, threads)?;
         if let Some(m) = pq_m {
-            self = self.with_pq(m, iters)?;
+            self.train_pq(m, iters, threads)?;
         }
-        self.save_quantizer(store, fingerprint);
+        self.save_quantizer(store, fingerprint, assign);
         Ok(self)
     }
 
@@ -461,12 +799,7 @@ impl SignatureIndex {
                 if p.codebooks.len() != m * 256 * dsub || p.codes.len() != n * m {
                     return false;
                 }
-                Some(Pq {
-                    m,
-                    dsub,
-                    codebooks: p.codebooks,
-                    codes: p.codes,
-                })
+                Some(Pq::new(m, dsub, p.codebooks, p.codes))
             }
         };
         // `load` validated every assignment against the centroid count.
@@ -476,6 +809,7 @@ impl SignatureIndex {
         }
         self.coarse = Some(Coarse {
             nlist: have_nlist,
+            book: Blocked::new(&sc.centroids, have_nlist, self.dim),
             centroids: sc.centroids,
             lists,
         });
@@ -483,16 +817,11 @@ impl SignatureIndex {
         true
     }
 
-    /// Best-effort write of the trained quantizer to the store's
-    /// `knn.idx` sidecar; failing to persist never fails the build.
-    fn save_quantizer(&self, store: &SignatureStore, fingerprint: u64) {
+    /// Best-effort write of the trained quantizer, with `assign` the
+    /// coarse cell of every row, to the store's `knn.idx` sidecar;
+    /// failing to persist never fails the build.
+    fn save_quantizer(&self, store: &SignatureStore, fingerprint: u64, assign: Vec<u32>) {
         let Some(coarse) = &self.coarse else { return };
-        let mut assign = vec![0u32; self.keys.len()];
-        for (c, list) in coarse.lists.iter().enumerate() {
-            for &i in list {
-                assign[i as usize] = c as u32;
-            }
-        }
         let pq = self.pq.as_ref().map(|p| PqSidecar {
             m: p.m as u32,
             codebooks: p.codebooks.clone(),
@@ -594,15 +923,14 @@ impl SignatureIndex {
         }
         let mut q = vec![0.0; self.dim];
         preprocess(self.distance, signature, &mut q);
-        let dim = self.dim;
-        let mut cells: Vec<(f64, u32)> = (0..coarse.nlist)
-            .map(|c| {
-                (
-                    sq_dist(&q, &coarse.centroids[c * dim..(c + 1) * dim]),
-                    c as u32,
-                )
-            })
-            .collect();
+        // A query runs the portable build of the kernel. Its two kernel
+        // calls are a few microseconds of a query that takes tens, and on
+        // the 2-vCPU Xeon host an AVX2 build here left knn_search ~5%
+        // below the portable one in queries per second (six rotated runs
+        // of each).
+        let mut dist = vec![0.0; coarse.nlist];
+        dists_body(std::slice::from_ref(&coarse.book), &q, &mut dist);
+        let mut cells: Vec<(f64, u32)> = dist.into_iter().zip(0..).collect();
         let probes = nprobe.min(coarse.nlist);
         // Ties on centroid distance resolve by cell id, so the probed
         // set is a defined function of the query, not of partitioning
@@ -614,14 +942,9 @@ impl SignatureIndex {
             // query sub-vector to every codeword, then probed lists are
             // scanned over m-byte codes — table lookups and adds only,
             // no touch of the raw rows.
-            let (m, dsub) = (pq.m, pq.dsub);
+            let m = pq.m;
             let mut table = vec![0.0; m * 256];
-            for j in 0..m {
-                let qs = &q[j * dsub..(j + 1) * dsub];
-                for c in 0..256 {
-                    table[j * 256 + c] = sq_dist(qs, &pq.codebooks[(j * 256 + c) * dsub..][..dsub]);
-                }
-            }
+            dists_body(&pq.books, &q, &mut table);
             let mut cand: Vec<(f64, u32)> = Vec::new();
             for &(_, cell) in &cells[..probes] {
                 for &i in &coarse.lists[cell as usize] {
@@ -702,6 +1025,7 @@ mod tests {
     use crate::store::StoreConfig;
     use cwsmooth_core::cs::CsSignature;
     use cwsmooth_data::WindowSpec;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1079,5 +1403,277 @@ mod tests {
         assert_eq!(index.query(&[0.0; 4], 3).unwrap(), vec![]);
         assert!(index.with_coarse(4, 5).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// splitmix64: the next value of a seeded stream, uniform in `[0, 1)`.
+    fn splitmix(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The kernel builds this CPU runs: portable, plus AVX2 if detected.
+    fn kernels() -> Vec<Kernel> {
+        let mut builds = vec![Kernel::PORTABLE];
+        if Kernel::detect().avx2 {
+            builds.push(Kernel::detect());
+        }
+        builds
+    }
+
+    /// The kernel's argmin for one row.
+    fn kernel_nearest(kernel: Kernel, book: &Blocked, x: &[f64]) -> u32 {
+        let rows = Rows {
+            vecs: x,
+            dim: x.len(),
+            ids: None,
+        };
+        let mut out = [u32::MAX];
+        kernel.assign(std::slice::from_ref(book), rows, 0, 0, &mut out);
+        out[0]
+    }
+
+    /// Checks the kernel against the scalar `nearest` and `sq_dist` for
+    /// every row, on every build: the same argmin and the same bits.
+    fn assert_kernel_parity(centroids: &[f64], k: usize, dim: usize, rows: &[Vec<f64>]) {
+        let book = Blocked::new(centroids, k, dim);
+        for kernel in kernels() {
+            for row in rows {
+                let ctx = format!("{kernel:?}, k {k}, dim {dim}, row {row:?}");
+                let want = nearest(row, centroids, k, dim);
+                assert_eq!(kernel_nearest(kernel, &book, row), want, "{ctx}");
+                let mut got = vec![0.0; k];
+                kernel.dists(std::slice::from_ref(&book), row, &mut got);
+                for (c, g) in got.iter().enumerate() {
+                    let w = sq_dist(row, &centroids[c * dim..(c + 1) * dim]);
+                    assert_eq!(g.to_bits(), w.to_bits(), "{ctx}, centroid {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_scalar_oracle_bit_for_bit() {
+        let mut state = 11u64;
+        for k in [1, 7, 8, 9, 255, 256] {
+            for dim in [1, 3, 4, 16] {
+                let mut centroids: Vec<f64> = (0..k * dim)
+                    .map(|_| splitmix(&mut state) * 2.0 - 1.0)
+                    .collect();
+                // Signed zeros in the centroids.
+                centroids[0] = -0.0;
+                centroids[dim - 1] = 0.0;
+                // Duplicate centroids: the lowest index must win.
+                if k > 2 {
+                    centroids.copy_within(..dim, (k - 1) * dim);
+                    centroids.copy_within(dim..2 * dim, 2 * dim);
+                }
+                let mut rows: Vec<Vec<f64>> = (0..12)
+                    .map(|_| (0..dim).map(|_| splitmix(&mut state) * 2.0 - 1.0).collect())
+                    .collect();
+                // Rows equal to a centroid: the duplicated one, the last
+                // one, and one that lands in a partial last block.
+                rows.push(centroids[..dim].to_vec());
+                rows.push(centroids[(k - 1) * dim..].to_vec());
+                rows.push(centroids[(k / 2) * dim..][..dim].to_vec());
+                rows.push(vec![0.0; dim]);
+                rows.push(vec![-0.0; dim]);
+                // Every square overflows to +∞, then only one does.
+                rows.push(vec![1e200; dim]);
+                let mut one_huge = rows[0].clone();
+                one_huge[dim - 1] = -1e160;
+                rows.push(one_huge);
+                rows.push(vec![f64::INFINITY; dim]);
+                rows.push(vec![f64::NEG_INFINITY; dim]);
+                // NaN in the row, first and last.
+                let mut nan = rows[1].clone();
+                nan[0] = f64::NAN;
+                rows.push(nan);
+                let mut nan = rows[2].clone();
+                nan[dim - 1] = f64::NAN;
+                rows.push(nan);
+                assert_kernel_parity(&centroids, k, dim, &rows);
+            }
+        }
+    }
+
+    /// A value for the parity property: mostly one of a few special
+    /// values (so ties, signed zeros and overflow are common), else any.
+    fn parity_value() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 8] = [0.0, -0.0, 1.0, -1.0, 0.5, 1e160, -1e160, f64::NAN];
+        (0usize..14, any::<f64>()).prop_map(|(i, v)| SPECIAL.get(i).copied().unwrap_or(v))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn kernel_parity_on_arbitrary_values(
+            (k, dim, centroids, rows) in (1usize..40, 1usize..10).prop_flat_map(|(k, dim)| (
+                Just(k),
+                Just(dim),
+                prop::collection::vec(parity_value(), k * dim),
+                prop::collection::vec(prop::collection::vec(parity_value(), dim), 4),
+            ))
+        ) {
+            assert_kernel_parity(&centroids, k, dim, &rows);
+        }
+    }
+
+    #[test]
+    fn assignment_is_identical_at_every_thread_count() {
+        let mut state = 23u64;
+        let (n, dim) = (1000usize, 6usize);
+        let vecs: Vec<f64> = (0..n * dim).map(|_| splitmix(&mut state)).collect();
+        let sample: Vec<u32> = (0..n as u32).step_by(3).collect();
+        // Coarse passes: one book of 37 centroids, over every row and
+        // over a strided sample, and a pass with fewer rows than threads.
+        let centroids: Vec<f64> = (0..37 * dim).map(|_| splitmix(&mut state)).collect();
+        let book = [Blocked::new(&centroids, 37, dim)];
+        for (vecs, ids) in [
+            (&vecs[..], None),
+            (&vecs[..], Some(&sample[..])),
+            (&vecs[..5 * dim], None),
+        ] {
+            let rows = Rows { vecs, dim, ids };
+            let len = ids.map_or(vecs.len() / dim, <[u32]>::len);
+            let want: Vec<u32> = (0..len)
+                .map(|r| nearest(rows.get(r), &centroids, 37, dim))
+                .collect();
+            for threads in [1, 2, 3, 7] {
+                let mut out = vec![u32::MAX; len];
+                assign_pass(&book, rows, 0, &mut out, threads);
+                assert_eq!(out, want, "{len} rows, {threads} threads");
+            }
+        }
+        // A PQ encoding pass: three books of 256 codewords over 2-wide
+        // sub-vectors, one code byte per row and book.
+        let codebooks: Vec<f64> = (0..3 * 256 * 2).map(|_| splitmix(&mut state)).collect();
+        let books: Vec<Blocked> = codebooks
+            .chunks(256 * 2)
+            .map(|b| Blocked::new(b, 256, 2))
+            .collect();
+        let rows = Rows {
+            vecs: &vecs,
+            dim,
+            ids: None,
+        };
+        let want: Vec<u8> = (0..n * 3)
+            .map(|i| {
+                let sub = &rows.get(i / 3)[(i % 3) * 2..][..2];
+                nearest(sub, &codebooks[(i % 3) * 512..], 256, 2) as u8
+            })
+            .collect();
+        for threads in [1, 2, 3, 7] {
+            let mut codes = vec![0u8; n * 3];
+            assign_pass(&books, rows, 0, &mut codes, threads);
+            assert_eq!(codes, want, "codes, {threads} threads");
+        }
+    }
+
+    /// Rows, cells, iterations and subquantizers of the golden corpus.
+    const GOLDEN_NODES: u32 = 6;
+    const GOLDEN_WINDOWS: u64 = 100;
+    const GOLDEN_NLIST: usize = 64;
+    const GOLDEN_ITERS: usize = 4;
+    const GOLDEN_M: usize = 4;
+
+    /// CRC-32 of the `knn.idx` (less its own CRC trailer) that the scalar
+    /// single-threaded trainer wrote for each golden corpus and metric.
+    /// `golden_store` with the `GOLDEN_*` shape:
+    const GOLDEN_CRC: [(Distance, u32); 2] = [
+        (Distance::L2, 0xbb6b_31d1),
+        (Distance::Pearson, 0x60d5_a7e0),
+    ];
+    /// `seeded_store(_, 100)` with 8 cells, 10 iterations and `m` = 2,
+    /// whose 200 rows leave most PQ codewords unused:
+    const SMALL_GOLDEN_CRC: [(Distance, u32); 2] = [
+        (Distance::L2, 0x30a3_32e3),
+        (Distance::Pearson, 0x43bb_0fbc),
+    ];
+
+    /// A fixed seeded corpus of 600 rows, dim 8: six noisy clusters,
+    /// one of whose nodes mostly repeats one constant signature —
+    /// duplicate rows (and, under Pearson, rows at the origin), so
+    /// several seeds start on one point and their cells must be re-seeded.
+    fn golden_store(dir: &PathBuf) -> SignatureStore {
+        let spec = WindowSpec::new(30, 10).unwrap();
+        let mut store = SignatureStore::open(dir, spec, 4, StoreConfig::default()).unwrap();
+        let mut state = 0x5eed_u64;
+        for w in 0..GOLDEN_WINDOWS {
+            for node in 0..GOLDEN_NODES {
+                let sig = if node == 5 && w % 3 != 0 {
+                    CsSignature {
+                        re: vec![0.4; 4],
+                        im: vec![0.4; 4],
+                    }
+                } else {
+                    let c = f64::from(node) * 0.3;
+                    CsSignature {
+                        re: (0..4)
+                            .map(|i| c + 0.1 * i as f64 + 0.05 * (splitmix(&mut state) - 0.5))
+                            .collect(),
+                        im: (0..4)
+                            .map(|i| 0.02 * (c - i as f64) + 0.01 * (splitmix(&mut state) - 0.5))
+                            .collect(),
+                    }
+                };
+                store.push(node, w, &sig).unwrap();
+            }
+        }
+        store.flush().unwrap();
+        store
+    }
+
+    /// CRC-32 of the store's `knn.idx`, less its CRC trailer.
+    fn knn_idx_crc(store: &SignatureStore) -> u32 {
+        let bytes = std::fs::read(crate::sidecar::knn_sidecar_path(store.dir())).unwrap();
+        crate::crc::crc32(&bytes[..bytes.len() - 4])
+    }
+
+    #[test]
+    fn training_writes_the_golden_knn_idx_at_every_thread_count() {
+        // Every pass over the golden corpus clears the inline cut, so
+        // each thread count below splits every pass.
+        let n = GOLDEN_NODES as usize * GOLDEN_WINDOWS as usize;
+        assert!(n * GOLDEN_NLIST * 8 >= PAR_MIN_WORK);
+        assert!(n * 256 * (8 / GOLDEN_M) >= PAR_MIN_WORK);
+        let shapes = [
+            ("golden", GOLDEN_NLIST, GOLDEN_ITERS, GOLDEN_M, GOLDEN_CRC),
+            ("small", 8, 10, 2, SMALL_GOLDEN_CRC),
+        ];
+        for (corpus, nlist, iters, m, crcs) in shapes {
+            for (distance, crc) in crcs {
+                let dir = tmpdir(&format!("golden-{corpus}-{distance:?}"));
+                let store = if corpus == "golden" {
+                    golden_store(&dir)
+                } else {
+                    seeded_store(&dir, 100)
+                };
+                let sidecar = crate::sidecar::knn_sidecar_path(store.dir());
+                // The public path, on every core of this host.
+                let index = SignatureIndex::build(&store, distance)
+                    .unwrap()
+                    .with_coarse_persisted(&store, nlist, iters, Some(m))
+                    .unwrap();
+                assert!(!index.quantizer_cached());
+                assert_eq!(
+                    knn_idx_crc(&store),
+                    crc,
+                    "{corpus}, {distance:?}, all cores"
+                );
+                for threads in [1, 2, 3, 7] {
+                    std::fs::remove_file(&sidecar).unwrap();
+                    let mut index = SignatureIndex::build(&store, distance).unwrap();
+                    let assign = index.train_coarse(nlist, iters, threads).unwrap();
+                    index.train_pq(m, iters, threads).unwrap();
+                    index.save_quantizer(&store, store.fingerprint(), assign);
+                    let ctx = format!("{corpus}, {distance:?}, {threads} threads");
+                    assert_eq!(knn_idx_crc(&store), crc, "{ctx}");
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 }
