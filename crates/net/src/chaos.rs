@@ -118,16 +118,12 @@ impl Pipe {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if !state.buf.is_empty() {
-                let mut n = 0usize;
-                while n < buf.len() {
-                    match state.buf.pop_front() {
-                        Some(b) => {
-                            buf[n] = b;
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
+                let n = buf.len().min(state.buf.len());
+                let (front, back) = state.buf.as_slices();
+                let from_front = n.min(front.len());
+                buf[..from_front].copy_from_slice(&front[..from_front]);
+                buf[from_front..n].copy_from_slice(&back[..n - from_front]);
+                state.buf.drain(..n);
                 drop(state);
                 self.writable.notify_all();
                 return Ok(n);

@@ -5,12 +5,18 @@
 //! (cwsmooth_core::transport::QueueSink). Underneath it keeps an
 //! at-least-once pipeline with bounded everything:
 //!
-//! - **Sending.** Each event becomes one data frame holding a
-//!   one-event `.cws` block, with consecutive sequence numbers; up to
-//!   [`NetConfig::max_inflight`] ride unacknowledged. The server acks
-//!   cumulatively after committing downstream, so an acked event can
-//!   never be lost by a consumer crash. Sending is pipelined: every
-//!   `max_inflight / 8` sends the sink harvests the acks already
+//! - **Sending.** Each event becomes a one-event `.cws` block, and a
+//!   data frame carries up to [`wire::MAX_FRAME_EVENTS`] of them in the
+//!   order the sink accepted the events (replay, then spill, then
+//!   fresh), with consecutive sequence numbers per frame; up to
+//!   [`NetConfig::max_inflight`] frames ride unacknowledged. A frame is
+//!   cut once `MAX_FRAME_EVENTS.min(mem_events)` fresh events are due,
+//!   at once while replay or spill hold events, and for whatever is
+//!   left in [`SocketSink::finish`]'s drain. A partial frame waits for
+//!   the next `on_event` or for `finish` (dropping the sink spills it).
+//!   The server acks cumulatively after committing downstream, so an
+//!   acked event can never be lost by a consumer crash. Sending is
+//!   pipelined: after every frame the sink harvests the acks already
 //!   buffered on the socket without waiting, and it blocks for an ack
 //!   only when the window is full (or while draining in
 //!   [`SocketSink::finish`]).
@@ -70,11 +76,13 @@ pub struct NetConfig {
     pub backoff_max: Duration,
     /// Seed for backoff jitter (deterministic tests).
     pub jitter_seed: u64,
-    /// Max unacknowledged data frames on the wire. Must comfortably
-    /// exceed the server's `ack_every`, or the window can starve
-    /// waiting for an ack the server is not yet due to send.
+    /// Max unacknowledged data frames on the wire, each of up to
+    /// [`wire::MAX_FRAME_EVENTS`] events. The events they hold must
+    /// comfortably exceed the server's `ack_every`, or the window can
+    /// starve waiting for an ack the server is not yet due to send.
     pub max_inflight: usize,
-    /// Events buffered in memory before spilling to disk.
+    /// Events buffered in memory before spilling to disk; also caps
+    /// the events of one data frame.
     pub mem_events: usize,
     /// Events per spill segment file.
     pub spill_segment_events: u64,
@@ -106,7 +114,8 @@ impl Default for NetConfig {
 pub struct NetStats {
     /// Events accepted from the producer.
     pub accepted: u64,
-    /// Data frames written (including retransmissions).
+    /// Data frames written (including retransmissions); each carries up
+    /// to [`wire::MAX_FRAME_EVENTS`] events.
     pub sent: u64,
     /// Events acknowledged by the server (committed downstream).
     pub acked: u64,
@@ -172,7 +181,9 @@ pub struct SocketSink {
     replay: VecDeque<QueuedEvent>,
     /// Disk overflow (older than `mem`, newer than `replay`).
     spill: Spill,
-    /// Sent-but-unacked events, ascending sequence order.
+    /// Sent-but-unacked events with their frame's sequence number,
+    /// ascending; every frame of the current connection from the
+    /// oldest unacked one on has at least one event here.
     inflight: VecDeque<(u64, QueuedEvent)>,
     /// Recycled value buffers.
     pool: Vec<Vec<f64>>,
@@ -182,7 +193,7 @@ pub struct SocketSink {
     failure: Failure,
     /// Frame encode buffer.
     frame_buf: Vec<u8>,
-    /// Block encode buffer.
+    /// Encode buffer for one frame's blocks.
     block_buf: Vec<u8>,
     stats: NetStats,
 }
@@ -268,6 +279,32 @@ impl SocketSink {
     /// Events pending anywhere in the pipeline.
     fn pending(&self) -> u64 {
         self.stats().queued
+    }
+
+    /// Data frames on the wire awaiting acknowledgement: the in-flight
+    /// events span consecutive sequence numbers of one connection.
+    fn frames_inflight(&self) -> usize {
+        match (self.inflight.front(), self.inflight.back()) {
+            (Some((first, _)), Some((last, _))) => (last - first + 1) as usize,
+            _ => 0,
+        }
+    }
+
+    /// Events one data frame carries at most.
+    fn frame_cap(&self) -> usize {
+        wire::MAX_FRAME_EVENTS.min(self.cfg.mem_events)
+    }
+
+    /// Events waiting for a first send or a resend.
+    fn has_sendable(&self) -> bool {
+        !self.replay.is_empty() || self.spill.events() > 0 || !self.mem.is_empty()
+    }
+
+    /// Whether a streaming sink cuts a frame now: at once while replay
+    /// or spill hold events, else once a full frame of fresh events is
+    /// due.
+    fn frame_due(&self) -> bool {
+        !self.replay.is_empty() || self.spill.events() > 0 || self.mem.len() >= self.frame_cap()
     }
 
     /// Errors that a reconnect can plausibly cure.
@@ -476,51 +513,67 @@ impl SocketSink {
         Ok(restored?)
     }
 
-    /// Encodes and writes one data frame. The event joins `inflight`
-    /// *before* the write, so a failed write replays it instead of
-    /// losing it.
-    fn send_one(&mut self, ev: QueuedEvent) -> Result<()> {
-        self.block_buf.clear();
-        let encoded = self.codec.encode_block(
-            &mut self.block_buf,
-            ev.node,
-            std::slice::from_ref(&ev.window),
-            &ev.values,
-        );
-        if let Err(e) = encoded {
-            // Geometry mismatch between event and codec: usage error.
-            self.replay.push_front(ev);
-            return Err(e.into());
-        }
-        let Some(conn) = self.conn.as_mut() else {
-            self.replay.push_front(ev);
+    /// Encodes up to [`SocketSink::frame_cap`] events, in
+    /// [`SocketSink::next_to_send`] order, as one data frame and writes
+    /// it; `Ok(false)` when no event was waiting. Each event joins
+    /// `inflight` under the frame's sequence number *before* the write,
+    /// so a failed write replays it instead of losing it.
+    fn send_frame(&mut self) -> Result<bool> {
+        let Some(conn) = self.conn.as_ref() else {
             return Err(NetError::Invalid("send without a connection".into()));
         };
-        self.frame_buf.clear();
         let seq = conn.next_seq;
+        self.block_buf.clear();
+        for _ in 0..self.frame_cap() {
+            let Some(ev) = self.next_to_send()? else {
+                break;
+            };
+            let encoded = self.codec.encode_block(
+                &mut self.block_buf,
+                ev.node,
+                std::slice::from_ref(&ev.window),
+                &ev.values,
+            );
+            if let Err(e) = encoded {
+                // Geometry mismatch between event and codec: usage
+                // error. The frame's events go back, in order.
+                self.replay.push_front(ev);
+                while self.inflight.back().is_some_and(|(s, _)| *s == seq) {
+                    if let Some((_, ev)) = self.inflight.pop_back() {
+                        self.replay.push_front(ev);
+                    }
+                }
+                return Err(e.into());
+            }
+            self.inflight.push_back((seq, ev));
+        }
+        if self.block_buf.is_empty() {
+            return Ok(false);
+        }
+        self.frame_buf.clear();
         wire::encode_frame(&mut self.frame_buf, FrameKind::Data, seq, &self.block_buf)?;
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(NetError::Invalid("send without a connection".into()));
+        };
         conn.next_seq += 1;
-        self.inflight.push_back((seq, ev));
         conn.link.write_all(&self.frame_buf)?;
         self.stats.sent += 1;
-        // Harvest every few sends: without it acks are only read once
+        // Harvest after every frame: without it acks are only read once
         // the window is *full*, and a lossy link that kills connections
         // young starves `retire` forever — the window never fills
         // before the next fault, so replays loop without ever being
         // credited. The harvest never waits, so the window keeps
         // streaming while the server commits.
-        let stride = (self.cfg.max_inflight / 8).max(1);
-        if self.inflight.len().is_multiple_of(stride) {
-            self.harvest_acks()?;
-        }
-        Ok(())
+        self.harvest_acks()?;
+        Ok(true)
     }
 
     /// One unit of connected work: wait for ack room when the window
-    /// is full, else move one event onto the wire. `Ok(true)` = made
-    /// progress (call again), `Ok(false)` = nothing sendable remains.
+    /// is full, else put one frame on the wire if one is due.
+    /// `Ok(true)` = made progress (call again), `Ok(false)` = no frame
+    /// is due.
     fn drive_sends(&mut self) -> Result<bool> {
-        if self.inflight.len() >= self.cfg.max_inflight {
+        if self.frames_inflight() >= self.cfg.max_inflight {
             // Producer backpressure, bounded by ack_timeout: the only
             // place a streaming sink waits for the server.
             if self.wait_ack()? {
@@ -531,13 +584,10 @@ impl SocketSink {
                 self.cfg.ack_timeout
             )));
         }
-        match self.next_to_send()? {
-            Some(ev) => {
-                self.send_one(ev)?;
-                Ok(true)
-            }
-            None => Ok(false),
+        if !self.frame_due() {
+            return Ok(false);
         }
+        self.send_frame()
     }
 
     /// Drives the pipeline as far as it can go without blocking on an
@@ -547,7 +597,7 @@ impl SocketSink {
     fn pump(&mut self) -> Result<()> {
         loop {
             if self.conn.is_none() {
-                if self.replay.is_empty() && self.spill.events() == 0 && self.mem.is_empty() {
+                if !self.has_sendable() {
                     return Ok(());
                 }
                 if self
@@ -629,24 +679,15 @@ impl SocketSink {
         Ok(())
     }
 
-    /// One shutdown-drain step while connected: fill the window, send
-    /// bye once only unacked events remain, then wait for ack progress.
+    /// One shutdown-drain step while connected: fill the window with
+    /// frames (a partial one last), send bye once only unacked events
+    /// remain, then wait for ack progress.
     fn drain_step(&mut self) -> Result<()> {
-        loop {
-            if self.inflight.len() >= self.cfg.max_inflight {
-                break;
-            }
-            match self.next_to_send()? {
-                Some(ev) => self.send_one(ev)?,
-                None => break,
-            }
-        }
+        while self.frames_inflight() < self.cfg.max_inflight && self.send_frame()? {}
         if self.inflight.is_empty() {
             return Ok(());
         }
-        let sendable_left =
-            !self.replay.is_empty() || self.spill.events() > 0 || !self.mem.is_empty();
-        if !sendable_left {
+        if !self.has_sendable() {
             // Only unacked events remain: solicit the final cumulative
             // ack (the server acks everything and closes on bye).
             self.send_bye()?;
@@ -819,6 +860,8 @@ impl Drop for SocketSink {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, ChaosHub};
+    use crate::link::Accept;
+    use crate::server::{Server, ServerConfig};
     use cwsmooth_core::CsSignature;
     use cwsmooth_data::WindowSpec;
     use cwsmooth_store::Encoding;
@@ -901,6 +944,86 @@ mod tests {
         let sink2 =
             SocketSink::new(hub.dialer(ChaosConfig::default()), codec(), &dir, cfg).unwrap();
         assert_eq!(sink2.stats().queued, 10, "drop persisted the memory tail");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Spawns a server on `hub` that serves `conns` connections in
+    /// turn into one `Vec<FleetEvent>`. A dropped sink closes without
+    /// waiting for acks, so its connection may end in a failed ack
+    /// write; the events delivered are what the tests check.
+    fn spawn_server(hub: &ChaosHub, conns: usize) -> std::thread::JoinHandle<Vec<FleetEvent>> {
+        let mut acceptor = hub.acceptor();
+        std::thread::spawn(move || {
+            let mut server = Server::new(codec(), ServerConfig::default()).unwrap();
+            let mut events: Vec<FleetEvent> = Vec::new();
+            for _ in 0..conns {
+                let mut link = acceptor.accept().unwrap();
+                let _ = server.serve_conn(link.as_mut(), &mut events);
+            }
+            events
+        })
+    }
+
+    #[test]
+    fn events_ride_in_frames_of_max_frame_events() {
+        let hub = ChaosHub::new();
+        let server = spawn_server(&hub, 1);
+        let dir = tmp_dir("frames");
+        let mut sink = SocketSink::new(
+            hub.dialer(ChaosConfig::default()),
+            codec(),
+            &dir,
+            NetConfig::default(),
+        )
+        .unwrap();
+        let events: Vec<FleetEvent> = (0..2 * wire::MAX_FRAME_EVENTS + 5)
+            .map(|i| fleet_event(i % 3, i / 3))
+            .collect();
+        for e in &events {
+            sink.on_event(e).unwrap();
+        }
+        assert_eq!(sink.stats().sent, 2, "two full frames; the rest waits");
+        let (stats, result) = sink.finish(Duration::from_secs(10));
+        result.unwrap();
+        assert_eq!(stats.sent, 3, "{stats:?}");
+        assert_eq!(stats.acked, events.len() as u64, "{stats:?}");
+        assert_eq!(server.join().unwrap(), events);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partial_frame_is_spilled_on_drop_and_sent_by_the_next_sink() {
+        let hub = ChaosHub::new();
+        let server = spawn_server(&hub, 2);
+        let dir = tmp_dir("partial");
+        let events: Vec<FleetEvent> = (0..wire::MAX_FRAME_EVENTS + 5)
+            .map(|i| fleet_event(i % 4, i / 4))
+            .collect();
+        let mut sink = SocketSink::new(
+            hub.dialer(ChaosConfig::default()),
+            codec(),
+            &dir,
+            NetConfig::default(),
+        )
+        .unwrap();
+        for e in &events {
+            sink.on_event(e).unwrap();
+        }
+        let stats = sink.stats();
+        assert_eq!((stats.sent, stats.queued - stats.inflight), (1, 5));
+        drop(sink);
+        let sink = SocketSink::new(
+            hub.dialer(ChaosConfig::default()),
+            codec(),
+            &dir,
+            NetConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(sink.stats().queued, 5, "drop spilled the partial frame");
+        let (stats, result) = sink.finish(Duration::from_secs(10));
+        result.unwrap();
+        assert_eq!((stats.sent, stats.acked, stats.drained), (1, 5, 5));
+        assert_eq!(server.join().unwrap(), events);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,15 +5,19 @@
 //! a pipeline of operators, anything. The robustness contract:
 //!
 //! - **Validation first.** The handshake must carry this server's
-//!   exact stream geometry, or the client gets a reject frame and the
-//!   connection ends — no partially-compatible streams. Data frames
-//!   must arrive with consecutive sequence numbers; corrupt or
-//!   out-of-order frames end the connection with a documented error
-//!   ([`NetError::Corrupt`] / [`NetError::Protocol`]), never a panic
-//!   and never a silent skip.
-//! - **Acks mean committed.** The server calls
-//!   [`NetSink::commit`] (flush, for a store) *before* acknowledging,
-//!   so an acked event survives a consumer crash.
+//!   wire version and exact stream geometry, or the client gets a
+//!   reject frame and the connection ends — no partially-compatible
+//!   streams. Data frames must arrive with consecutive sequence
+//!   numbers, and every block of a frame must decode before any of it
+//!   is delivered; corrupt (including empty) or out-of-order frames end
+//!   the connection with a documented error ([`NetError::Corrupt`] /
+//!   [`NetError::Protocol`]), never a panic and never a silent skip.
+//! - **Acks mean committed.** A frame's blocks are delivered in order,
+//!   each event through the dedupe floor. At the end of a frame, once
+//!   [`ServerConfig::ack_every`] events (replays included) arrived
+//!   since the last ack, the server calls [`NetSink::commit`] (flush,
+//!   for a store) and *then* acknowledges the frame, so an acked event
+//!   survives a consumer crash.
 //! - **Restarts are normal.** A connection dying mid-stream is counted
 //!   and tolerated; the serve loop simply accepts the client's next
 //!   connection. Replayed events are absorbed by per-`(node, window)`
@@ -70,10 +74,12 @@ impl<S: NetSink + Observe> NetSink for Publish<S> {
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Events between cumulative acks. Must be well below the client's
-    /// `max_inflight`, or the client's window can fill while no ack is
-    /// yet due. Deduplicated events count toward the cadence (replays
-    /// must still be acknowledged).
+    /// Events between cumulative acks, checked at the end of each data
+    /// frame: a frame that brings the count to `ack_every` or beyond is
+    /// committed and acked. Must be well below the events the client's
+    /// `max_inflight` frames can hold, or the client's window can fill
+    /// while no ack is yet due. Deduplicated events count toward the
+    /// cadence (replays must still be acknowledged).
     pub ack_every: u64,
     /// Upper bound on accepted node ids (rejects runaway streams).
     pub max_nodes: usize,
@@ -136,8 +142,12 @@ pub struct Server {
     stats: ServerStats,
     reader: FrameReader,
     frame_buf: Vec<u8>,
+    /// The decoded data frame: every block's window axis and values,
+    /// concatenated, and per block its node and the end of its events
+    /// in `windows`.
     windows: Vec<u64>,
     values: Vec<f64>,
+    blocks: Vec<(u32, usize)>,
     /// Reused event envelope for sink delivery.
     event: FleetEvent,
     /// Live registry handles ([`Server::attach_metrics`]); `None`
@@ -177,6 +187,7 @@ impl Server {
             frame_buf: Vec::new(),
             windows: Vec::new(),
             values: Vec::new(),
+            blocks: Vec::new(),
             event: FleetEvent::default(),
             metrics: None,
         })
@@ -280,10 +291,11 @@ impl Server {
 
     /// Serves one established connection to completion.
     ///
-    /// Frames stream into `sink` with per-event dedupe; every
-    /// `ack_every` events the sink is committed and a cumulative ack
-    /// goes back. Errors: [`NetError::Handshake`] (geometry mismatch,
-    /// reject sent), [`NetError::Corrupt`] (damaged frame or block),
+    /// Frames stream into `sink` with per-event dedupe; at the end of
+    /// the frame that completes `ack_every` events the sink is committed
+    /// and a cumulative ack goes back. Errors: [`NetError::Handshake`]
+    /// (wire version or geometry mismatch, reject sent),
+    /// [`NetError::Corrupt`] (damaged or empty frame, damaged block),
     /// [`NetError::Protocol`] (sequence gap, misplaced frame),
     /// [`NetError::Sink`] (downstream failure — fatal), or I/O faults.
     pub fn serve_conn<S: NetSink>(&mut self, link: &mut dyn Link, sink: &mut S) -> Result<ConnEnd> {
@@ -298,7 +310,7 @@ impl Server {
             // Patient between frames (first_byte: None — an idle
             // producer is fine), strict within one.
             let frame_timeout = self.cfg.frame_timeout;
-            let (kind, seq, node) = match self.reader.read_frame(link, None, frame_timeout)? {
+            let (kind, seq) = match self.reader.read_frame(link, None, frame_timeout)? {
                 ReadOutcome::Eof => {
                     // Peer gone (crash or restart): keep what was
                     // delivered durable; it cannot be acked now, so
@@ -318,12 +330,20 @@ impl Server {
                     }
                     match f.kind {
                         FrameKind::Hello => {
-                            let remote = wire::parse_hello(f.payload)?;
                             if helloed {
                                 return Err(NetError::Protocol(
                                     "second hello on one connection".into(),
                                 ));
                             }
+                            let remote = match wire::parse_hello(f.payload) {
+                                Err(NetError::Handshake(msg)) => {
+                                    // Another wire version: tell the
+                                    // client, reconnecting cannot help.
+                                    self.write_frame(link, FrameKind::Reject, 0, msg.as_bytes())?;
+                                    return Err(NetError::Handshake(msg));
+                                }
+                                parsed => parsed?,
+                            };
                             if remote != self.codec {
                                 let msg = format!(
                                     "stream geometry mismatch: client sends mode {:?} l={} \
@@ -340,7 +360,7 @@ impl Server {
                                 self.write_frame(link, FrameKind::Reject, 0, msg.as_bytes())?;
                                 return Err(NetError::Handshake(msg));
                             }
-                            (FrameKind::Hello, f.seq, 0u32)
+                            (FrameKind::Hello, f.seq)
                         }
                         FrameKind::Data => {
                             if !helloed {
@@ -355,18 +375,36 @@ impl Server {
                             }
                             self.windows.clear();
                             self.values.clear();
-                            let node = self.codec.decode_block(
+                            self.blocks.clear();
+                            let mut at = 0;
+                            while let Some((node, next)) = self.codec.decode_block_at(
                                 f.payload,
+                                at,
                                 &mut self.windows,
                                 &mut self.values,
-                            )?;
-                            (FrameKind::Data, f.seq, node)
+                            )? {
+                                if node as usize >= self.cfg.max_nodes {
+                                    return Err(NetError::Protocol(format!(
+                                        "node {node} exceeds max_nodes {}",
+                                        self.cfg.max_nodes
+                                    )));
+                                }
+                                self.blocks.push((node, self.windows.len()));
+                                at = next;
+                            }
+                            if self.blocks.is_empty() {
+                                return Err(NetError::Corrupt {
+                                    offset: 0,
+                                    message: "data frame carries no block".into(),
+                                });
+                            }
+                            (FrameKind::Data, f.seq)
                         }
                         FrameKind::Bye => {
                             if !helloed {
                                 return Err(NetError::Protocol("bye before hello".into()));
                             }
-                            (FrameKind::Bye, f.seq, 0u32)
+                            (FrameKind::Bye, f.seq)
                         }
                         FrameKind::Ack | FrameKind::Reject => {
                             return Err(NetError::Protocol(format!(
@@ -385,7 +423,7 @@ impl Server {
                     self.bump(|m| &m.acks);
                 }
                 FrameKind::Data => {
-                    let delivered = self.deliver_block(sink, node)?;
+                    let delivered = self.deliver_frame(sink)?;
                     prev_seq = seq;
                     // Replayed (deduped) events still count toward the
                     // cadence: the client needs them acknowledged.
@@ -400,10 +438,17 @@ impl Server {
                 }
                 FrameKind::Bye => {
                     // Commit, acknowledge everything, and end cleanly.
+                    // A client whose events are all acked, or one being
+                    // dropped, closes right after its bye: the ack may
+                    // find the link gone, which does not undo the end.
                     sink.commit().map_err(NetError::Sink)?;
-                    self.write_frame(link, FrameKind::Ack, prev_seq, &[])?;
-                    self.stats.acks += 1;
-                    self.bump(|m| &m.acks);
+                    if self
+                        .write_frame(link, FrameKind::Ack, prev_seq, &[])
+                        .is_ok()
+                    {
+                        self.stats.acks += 1;
+                        self.bump(|m| &m.acks);
+                    }
                     return Ok(ConnEnd::Bye);
                 }
                 _ => {}
@@ -411,21 +456,11 @@ impl Server {
         }
     }
 
-    /// Delivers the just-decoded block (in `windows` / `values`) from
-    /// `node` to the sink, skipping dedupe-floor replays. Returns
-    /// events processed (delivered + deduped) so the ack cadence also
-    /// covers replays.
-    fn deliver_block<S: NetSink>(&mut self, sink: &mut S, node: u32) -> Result<u64> {
-        let idx = node as usize;
-        if idx >= self.cfg.max_nodes {
-            return Err(NetError::Protocol(format!(
-                "node {node} exceeds max_nodes {}",
-                self.cfg.max_nodes
-            )));
-        }
-        if idx >= self.last_window.len() {
-            self.last_window.resize(idx + 1, None);
-        }
+    /// Delivers the just-decoded frame (`blocks`, with their events in
+    /// `windows` / `values`) to the sink block by block, in order,
+    /// skipping dedupe-floor replays. Returns events processed
+    /// (delivered + deduped) so the ack cadence also covers replays.
+    fn deliver_frame<S: NetSink>(&mut self, sink: &mut S) -> Result<u64> {
         let dim = self.codec.dim();
         let l = self.codec.l();
         let count = self.windows.len();
@@ -433,36 +468,40 @@ impl Server {
             return Err(NetError::Corrupt {
                 offset: 0,
                 message: format!(
-                    "block value count {} does not match {count} events of dim {dim}",
+                    "frame value count {} does not match {count} events of dim {dim}",
                     self.values.len()
                 ),
             });
         }
-        let mut processed = 0u64;
-        for (i, chunk) in self.values.chunks_exact(dim).enumerate() {
-            let Some(&window) = self.windows.get(i) else {
-                break;
-            };
-            processed += 1;
-            let floor = self.last_window.get_mut(idx);
-            let Some(floor) = floor else { break };
-            if floor.is_some_and(|w| window <= w) {
-                self.stats.deduped += 1;
-                self.bump(|m| &m.deduped);
-                continue;
+        let mut start = 0;
+        for &(node, end) in &self.blocks {
+            let idx = node as usize;
+            if idx >= self.last_window.len() {
+                self.last_window.resize(idx + 1, None);
             }
-            *floor = Some(window);
-            self.event.node = idx;
-            self.event.window_index = window as usize;
-            self.event.signature.re.clear();
-            self.event.signature.re.extend_from_slice(&chunk[..l]);
-            self.event.signature.im.clear();
-            self.event.signature.im.extend_from_slice(&chunk[l..]);
-            sink.on_event(&self.event).map_err(NetError::Sink)?;
-            self.stats.events += 1;
-            self.bump(|m| &m.events);
+            let windows = &self.windows[start..end];
+            let values = self.values[start * dim..end * dim].chunks_exact(dim);
+            start = end;
+            for (&window, chunk) in windows.iter().zip(values) {
+                let floor = &mut self.last_window[idx];
+                if floor.is_some_and(|w| window <= w) {
+                    self.stats.deduped += 1;
+                    self.bump(|m| &m.deduped);
+                    continue;
+                }
+                *floor = Some(window);
+                self.event.node = idx;
+                self.event.window_index = window as usize;
+                self.event.signature.re.clear();
+                self.event.signature.re.extend_from_slice(&chunk[..l]);
+                self.event.signature.im.clear();
+                self.event.signature.im.extend_from_slice(&chunk[l..]);
+                sink.on_event(&self.event).map_err(NetError::Sink)?;
+                self.stats.events += 1;
+                self.bump(|m| &m.events);
+            }
         }
-        Ok(processed)
+        Ok(count as u64)
     }
 
     /// Accept loop: serves connections into `sink` until the acceptor
@@ -620,6 +659,125 @@ mod tests {
         assert_eq!(got, vec![(3, 7), (3, 8), (3, 9)]);
         assert_eq!(events[0].signature.re, vec![0.5, 1.5]);
         assert_eq!(events[0].signature.im, vec![2.5, 3.5]);
+    }
+
+    /// Spawns a server on `hub` running one connection into a
+    /// `Vec<FleetEvent>`, returning how it ended, its stats and what it
+    /// delivered.
+    fn spawn_one_conn(
+        hub: &ChaosHub,
+        cfg: ServerConfig,
+    ) -> std::thread::JoinHandle<(Result<ConnEnd>, ServerStats, Vec<FleetEvent>)> {
+        let mut acceptor = hub.acceptor();
+        std::thread::spawn(move || {
+            let mut server = Server::new(codec(), cfg).unwrap();
+            let mut events: Vec<FleetEvent> = Vec::new();
+            let mut link = acceptor.accept().unwrap();
+            let end = server.serve_conn(link.as_mut(), &mut events);
+            (end, server.stats(), events)
+        })
+    }
+
+    /// Dials `hub` and completes the handshake.
+    fn handshake(hub: &ChaosHub) -> (Box<dyn Link>, FrameReader) {
+        let mut link = hub
+            .dialer(ChaosConfig::default())
+            .dial(Duration::from_secs(1))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        write_frame(
+            link.as_mut(),
+            FrameKind::Hello,
+            0,
+            &wire::hello_payload(&codec()),
+        );
+        assert_eq!(
+            read_frame_kind(&mut reader, link.as_mut()),
+            (FrameKind::Ack, 0)
+        );
+        (link, reader)
+    }
+
+    #[test]
+    fn multi_block_frame_is_delivered_in_order_and_deduped() {
+        let hub = ChaosHub::new();
+        let cfg = ServerConfig {
+            ack_every: 4,
+            ..ServerConfig::default()
+        };
+        let server_thread = spawn_one_conn(&hub, cfg);
+        let (mut link, mut reader) = handshake(&hub);
+        let c = codec();
+        write_frame(
+            link.as_mut(),
+            FrameKind::Data,
+            1,
+            &data_payload(&c, 3, 7, 0.5),
+        );
+        // Two nodes plus a replay of node 3 below its floor (window 6
+        // after 7): one event short of the cadence without the replay,
+        // so the ack proves the replay counted toward it.
+        let mut frame = data_payload(&c, 5, 1, 10.0);
+        frame.extend(data_payload(&c, 3, 6, 20.0));
+        frame.extend(data_payload(&c, 3, 8, 30.0));
+        write_frame(link.as_mut(), FrameKind::Data, 2, &frame);
+        assert_eq!(
+            read_frame_kind(&mut reader, link.as_mut()),
+            (FrameKind::Ack, 2)
+        );
+        write_frame(link.as_mut(), FrameKind::Bye, 2, &[]);
+        assert_eq!(
+            read_frame_kind(&mut reader, link.as_mut()),
+            (FrameKind::Ack, 2)
+        );
+        drop(link);
+        let (end, stats, events) = server_thread.join().unwrap();
+        assert_eq!(end.unwrap(), ConnEnd::Bye);
+        assert_eq!((stats.frames, stats.events, stats.deduped), (4, 3, 1));
+        assert_eq!(stats.acks, 3, "hello, frame 2 and bye");
+        let got: Vec<(usize, usize)> = events.iter().map(|e| (e.node, e.window_index)).collect();
+        assert_eq!(got, vec![(3, 7), (5, 1), (3, 8)]);
+        assert_eq!(events[1].signature.re, vec![10.0, 11.0]);
+        assert_eq!(events[2].signature.im, vec![32.0, 33.0]);
+    }
+
+    #[test]
+    fn empty_or_truncated_data_frames_are_corrupt() {
+        let c = codec();
+        let whole = data_payload(&c, 2, 4, 0.0);
+        let mut truncated = whole.clone();
+        truncated.extend(&data_payload(&c, 2, 5, 1.0)[..whole.len() - 3]);
+        for payload in [Vec::new(), truncated] {
+            let hub = ChaosHub::new();
+            let server_thread = spawn_one_conn(&hub, ServerConfig::default());
+            let (mut link, _reader) = handshake(&hub);
+            write_frame(link.as_mut(), FrameKind::Data, 1, &payload);
+            let (end, stats, events) = server_thread.join().unwrap();
+            let err = end.unwrap_err();
+            assert!(matches!(err, NetError::Corrupt { .. }), "{err}");
+            assert_eq!(stats.events, 0, "nothing of a damaged frame is delivered");
+            assert!(events.is_empty());
+        }
+    }
+
+    #[test]
+    fn version_one_hello_is_rejected_with_a_reject_frame() {
+        let hub = ChaosHub::new();
+        let server_thread = spawn_one_conn(&hub, ServerConfig::default());
+        let mut link = hub
+            .dialer(ChaosConfig::default())
+            .dial(Duration::from_secs(1))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let mut hello = wire::hello_payload(&codec());
+        hello[..2].copy_from_slice(&1u16.to_le_bytes());
+        write_frame(link.as_mut(), FrameKind::Hello, 0, &hello);
+        let (kind, _) = read_frame_kind(&mut reader, link.as_mut());
+        assert_eq!(kind, FrameKind::Reject);
+        let (end, _, events) = server_thread.join().unwrap();
+        let err = end.unwrap_err();
+        assert!(matches!(err, NetError::Handshake(_)), "{err}");
+        assert!(events.is_empty());
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!            crc:u32                              (over header + payload)
 //!
 //! hello   := version:u16 cws_file_header[32]      (kind 1, seq 0)
-//! data    := one .cws block                       (kind 2, seq 1,2,3,...)
+//! data    := cws_block+                           (kind 2, seq 1,2,3,...)
+//!            (back to back; a client sends <= 64
+//!             one-event blocks, in arrival order)
 //! ack     := (empty; seq = highest data seq       (kind 3)
 //!             processed and committed)
 //! bye     := (empty; seq = last data seq sent)    (kind 4)
@@ -21,10 +23,13 @@
 //!
 //! The handshake reuses the store's versioned 32-byte file header
 //! (magic, format version, encoding mode, `l`, window spec — see
-//! [`BlockCodec`]) wrapped with a wire protocol version, so both ends
-//! agree on geometry before any data flows. Data frames carry whole
-//! `.cws` blocks — the bytes on the wire are the bytes a store writes.
-//! Sequence numbers are per-connection and strictly consecutive;
+//! [`BlockCodec`]) wrapped with a wire protocol version
+//! ([`WIRE_VERSION`], 2 since data frames carry more than one block),
+//! so both ends agree on framing and geometry before any data flows.
+//! A data frame carries one or more whole `.cws` blocks — the bytes on
+//! the wire are the bytes a store writes; the client puts up to
+//! [`MAX_FRAME_EVENTS`] one-event blocks in one frame. Sequence numbers
+//! are per-connection and strictly consecutive, one per frame;
 //! cumulative acks plus server-side `(node, window)` dedupe make replay
 //! after a reconnect idempotent.
 
@@ -35,8 +40,13 @@ use std::time::Duration;
 
 /// Frame magic ("CWSF" on the wire).
 pub const FRAME_MAGIC: [u8; 4] = *b"CWSF";
-/// Wire protocol version carried in the hello payload.
-pub const WIRE_VERSION: u16 = 1;
+/// Wire protocol version carried in the hello payload. Version 1
+/// carried one block per data frame; a version-1 peer would misread a
+/// multi-block frame, so the handshake rejects it instead.
+pub const WIRE_VERSION: u16 = 2;
+/// Most events a client puts in one data frame, each as a one-event
+/// block.
+pub const MAX_FRAME_EVENTS: usize = 64;
 /// Fixed frame header length (magic, kind, pad, seq, payload length).
 pub const FRAME_HEADER_LEN: usize = 20;
 /// Largest accepted frame payload. A plausibility bound: the CRC catches
@@ -51,7 +61,7 @@ pub const HELLO_LEN: usize = 2 + codec::HEADER_LEN;
 pub enum FrameKind {
     /// Client → server stream opener: wire version + geometry header.
     Hello,
-    /// Client → server: one `.cws` block of signature events.
+    /// Client → server: one or more `.cws` blocks of signature events.
     Data,
     /// Server → client: cumulative acknowledgement (`seq` = highest
     /// data sequence processed and committed downstream).
@@ -118,7 +128,7 @@ pub fn encode_frame(out: &mut Vec<u8>, kind: FrameKind, seq: u64, payload: &[u8]
     Ok(())
 }
 
-/// Bytes one link read may fill: room for hundreds of event frames.
+/// Bytes one link read may fill: room for a dozen full data frames.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Validated frame header fields (before payload and CRC are read).
@@ -499,6 +509,11 @@ mod tests {
         let mut wrong = payload.clone();
         wrong[0] = 99;
         assert!(matches!(parse_hello(&wrong), Err(NetError::Handshake(_))));
+        // A version-1 peer sends one block per frame: rejected, not
+        // misread.
+        let mut v1 = payload.clone();
+        v1[..2].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(parse_hello(&v1), Err(NetError::Handshake(_))));
         assert!(parse_hello(&payload[..HELLO_LEN - 1]).is_err());
     }
 

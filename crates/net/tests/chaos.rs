@@ -139,6 +139,24 @@ fn server_cfg() -> ServerConfig {
     }
 }
 
+/// The faulty-link sweep's timeouts, as multiples of its link's largest
+/// injected delay. A fault that swallows a frame or its tail shows only
+/// as a timeout, so the sweep's wall time is mostly timeouts; one that
+/// expires spuriously costs a reconnect, a replay and a dedupe, which
+/// the sweep checks anyway.
+const TIMEOUT_PER_MAX_DELAY: u32 = 100;
+
+/// Windows per node in the faulty-link sweep's feed. Faults strike per
+/// client write and a write carries a frame of up to 64 events, so the
+/// feed is long enough for every seed to see dozens of disconnects.
+const SWEEP_WINDOWS: usize = 3200;
+
+/// Events per segment of the sweep's stores. At the other tests' 64,
+/// the sweep's feed would roll ~600 segments a seed, and the rolls
+/// (file, header, sidecar, map) cost more time than the rest of the
+/// seed; at 1024 each seed still rolls dozens.
+const SWEEP_SEGMENT_EVENTS: u64 = 1024;
+
 /// Spawns a serve loop over `hub`, owning `store`. Returns the store
 /// (flushed) and the serve result when joined.
 fn spawn_server(
@@ -160,16 +178,12 @@ fn spawn_server(
 /// and delays on the way.
 #[test]
 fn faulty_link_pipeline_is_lossless_and_byte_identical() {
-    let events = feed(12, 25);
+    let events = feed(12, SWEEP_WINDOWS);
     let tmp = tempdir::scratch("chaos-faulty");
     let want = baseline(&tmp.join("baseline"), &events);
 
+    let mut disconnects = 0;
     for seed in 0..seed_count() {
-        let hub = ChaosHub::new();
-        let server = Server::new(codec(), server_cfg()).unwrap();
-        let store_dir = tmp.join(format!("store-{seed}"));
-        let handle = spawn_server(&hub, server, open_store(&store_dir));
-
         let chaos = ChaosConfig {
             seed: seed.wrapping_mul(0x9E37).wrapping_add(1),
             drop_rate: 0.01,
@@ -178,14 +192,35 @@ fn faulty_link_pipeline_is_lossless_and_byte_identical() {
             reset_rate: 0.01,
             max_delay: Duration::from_micros(200),
         };
+        let timeout = chaos.max_delay * TIMEOUT_PER_MAX_DELAY;
+        let hub = ChaosHub::new();
+        let server_cfg = ServerConfig {
+            frame_timeout: timeout,
+            ..server_cfg()
+        };
+        let server = Server::new(codec(), server_cfg).unwrap();
+        let store_dir = tmp.join(format!("store-{seed}"));
+        let store_cfg = store_cfg().with_segment_events(SWEEP_SEGMENT_EVENTS);
+        let store = SignatureStore::open(&store_dir, SPEC, L, store_cfg).unwrap();
+        let handle = spawn_server(&hub, server, store);
+
+        let client_cfg = NetConfig {
+            connect_timeout: timeout,
+            ack_timeout: timeout,
+            ..client_cfg()
+        };
         let spill_dir = tmp.join(format!("spill-{seed}"));
-        let mut sink =
-            SocketSink::new(hub.dialer(chaos), codec(), &spill_dir, client_cfg()).unwrap();
+        let mut sink = SocketSink::new(hub.dialer(chaos), codec(), &spill_dir, client_cfg).unwrap();
         for e in &events {
             sink.on_event(e).unwrap();
         }
         let (stats, result) = sink.finish(Duration::from_secs(60));
         result.unwrap_or_else(|e| panic!("seed {seed}: finish failed: {e} (stats: {stats:?})"));
+        eprintln!(
+            "seed {seed}: sent {} retransmitted {} disconnects {}",
+            stats.sent, stats.retransmitted, stats.disconnects
+        );
+        disconnects += stats.disconnects;
         assert_eq!(stats.dropped, 0, "seed {seed}: events dropped");
         assert_eq!(stats.accepted, events.len() as u64, "seed {seed}");
         // `acked` counts retired in-flight entries; a retransmitted
@@ -208,6 +243,13 @@ fn faulty_link_pipeline_is_lossless_and_byte_identical() {
             "seed {seed}: remote store diverged from the sync baseline"
         );
     }
+    // The sweep proves nothing if faults stopped striking: keep the
+    // feed long enough for dozens of disconnects per seed.
+    assert!(
+        disconnects >= seed_count(),
+        "{disconnects} disconnects over {} seeds",
+        seed_count()
+    );
 }
 
 /// Kill the consumer process mid-stream (connections die like SIGKILL,

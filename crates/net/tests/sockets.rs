@@ -6,13 +6,14 @@
 //! socket, so the sink's non-blocking ack harvest switches a real
 //! socket between modes while the server thread writes acks into it,
 //! and every write after a harvest runs on a socket switched back to
-//! blocking. The stream is many windows long, and on a clean link it
-//! must arrive whole: each event sent once, acked, and delivered once,
-//! in order.
+//! blocking. The stream is many in-flight windows of frames long, and
+//! on a clean link it must arrive whole: each event sent once in a full
+//! frame (the last one partial), acked, and delivered once, in order.
 
 use cwsmooth_core::fleet::{FleetEvent, FleetSink};
 use cwsmooth_core::CsSignature;
 use cwsmooth_data::WindowSpec;
+use cwsmooth_net::wire::MAX_FRAME_EVENTS;
 use cwsmooth_net::{
     serve_into, Accept, BlockCodec, Dial, NetConfig, ServerConfig, SocketSink, TcpAcceptor,
     TcpDialer,
@@ -48,13 +49,13 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Streams more than ten in-flight windows of events from a default
-/// [`SocketSink`] on `dial` to a server on `acceptor` and checks that
-/// every event was sent once, acked, and delivered once in order over
-/// one connection.
+/// Streams more than ten in-flight windows of full frames from a
+/// default [`SocketSink`] on `dial` to a server on `acceptor` and checks
+/// that every event was sent once, acked, and delivered once in order
+/// over one connection.
 fn stream_whole(dial: impl Dial + 'static, mut acceptor: impl Accept + 'static, spill: PathBuf) {
     let cfg = NetConfig::default();
-    let events: Vec<FleetEvent> = (0..10 * cfg.max_inflight + 37)
+    let events: Vec<FleetEvent> = (0..10 * cfg.max_inflight * MAX_FRAME_EVENTS + 37)
         .map(|i| event(i % NODES, i / NODES))
         .collect();
     let server = std::thread::spawn(move || {
@@ -76,7 +77,11 @@ fn stream_whole(dial: impl Dial + 'static, mut acceptor: impl Accept + 'static, 
     let total = events.len() as u64;
     assert_eq!(stats.accepted, total);
     assert_eq!(stats.acked, stats.accepted, "{stats:?}");
-    assert_eq!(stats.sent, stats.accepted, "{stats:?}");
+    assert_eq!(
+        stats.sent,
+        stats.accepted.div_ceil(MAX_FRAME_EVENTS as u64),
+        "full frames and one partial: {stats:?}"
+    );
     assert_eq!(
         (stats.connects, stats.disconnects, stats.connect_failures),
         (1, 0, 0),

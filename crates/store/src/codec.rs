@@ -114,46 +114,14 @@ impl BlockCodec {
         format::encode_block(out, &self.header, node, windows, values)
     }
 
-    /// Decodes a single block occupying exactly `bytes` (as produced by
-    /// [`BlockCodec::encode_block`]), appending its window axis to
-    /// `windows` and its values to `values` (`count * 2l` entries).
-    /// Returns the block's node id. Any damage — truncation, bit flips,
-    /// implausible field values, trailing bytes — surfaces
-    /// [`StoreError::Corrupt`], never a panic.
-    pub fn decode_block(
-        &self,
-        bytes: &[u8],
-        windows: &mut Vec<u64>,
-        values: &mut Vec<f64>,
-    ) -> Result<u32> {
-        let path = Path::new(CODEC_PATH);
-        let block = format::parse_block(bytes, 0, &self.header)
-            .map_err(|e| e.into_store_error(path))?
-            .ok_or_else(|| StoreError::Corrupt {
-                path: path.to_path_buf(),
-                offset: 0,
-                message: "empty block buffer".into(),
-            })?;
-        if block.end as usize != bytes.len() {
-            return Err(StoreError::Corrupt {
-                path: path.to_path_buf(),
-                offset: block.end,
-                message: format!(
-                    "{} trailing bytes after block end",
-                    bytes.len() as u64 - block.end
-                ),
-            });
-        }
-        format::decode_block(&block, &self.header, windows, values);
-        Ok(block.node)
-    }
-
     /// Decodes the block starting at byte `at` of a multi-block stream
-    /// (a headerless `.cws` body). Returns `Ok(None)` at a clean end of
-    /// stream (`at == bytes.len()`); otherwise appends the block like
-    /// [`BlockCodec::decode_block`] and returns its node id plus the
-    /// offset of the next block. Damage anywhere — including truncation
-    /// mid-block — is [`StoreError::Corrupt`].
+    /// (a headerless `.cws` body, such as a wire data frame's payload).
+    /// Returns `Ok(None)` at a clean end of stream (`at == bytes.len()`);
+    /// otherwise appends the block's window axis to `windows` and its
+    /// values to `values` (`count * 2l` entries) and returns its node id
+    /// plus the offset of the next block. Any damage — truncation
+    /// mid-block, bit flips, implausible field values — surfaces
+    /// [`StoreError::Corrupt`], never a panic.
     pub fn decode_block_at(
         &self,
         bytes: &[u8],
@@ -209,8 +177,12 @@ mod tests {
         let mut bytes = Vec::new();
         c.encode_block(&mut bytes, 42, &windows, &values).unwrap();
         let (mut w, mut v) = (Vec::new(), Vec::new());
-        let node = c.decode_block(&bytes, &mut w, &mut v).unwrap();
-        assert_eq!(node, 42);
+        let decoded = c.decode_block_at(&bytes, 0, &mut w, &mut v).unwrap();
+        assert_eq!(decoded, Some((42, bytes.len())));
+        assert!(c
+            .decode_block_at(&bytes, bytes.len(), &mut w, &mut v)
+            .unwrap()
+            .is_none());
         assert_eq!(w, windows);
         assert!(v
             .iter()
@@ -223,14 +195,18 @@ mod tests {
         let c = codec(Encoding::Exact, 1);
         let mut bytes = Vec::new();
         c.encode_block(&mut bytes, 0, &[1], &[0.5, -0.5]).unwrap();
+        let end = bytes.len();
         bytes.push(0);
         let (mut w, mut v) = (Vec::new(), Vec::new());
+        assert_eq!(
+            c.decode_block_at(&bytes, 0, &mut w, &mut v).unwrap(),
+            Some((0, end))
+        );
+        // A stray byte after the last block is a truncated block.
         assert!(matches!(
-            c.decode_block(&bytes, &mut w, &mut v),
+            c.decode_block_at(&bytes, end, &mut w, &mut v),
             Err(StoreError::Corrupt { .. })
         ));
-        // Empty input is corruption too, not a silent no-op.
-        assert!(c.decode_block(&[], &mut w, &mut v).is_err());
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //! ```
 //!
 //! Durability model: [`SignatureStore::flush`] pushes all staged events
-//! into the active file; a process kill between flushes loses only the
-//! staged tail. [`SignatureStore::open`] recovers a directory written by
-//! a killed process — a cleanly truncated final segment is cut back to
-//! its last complete block (reported in [`RecoveryReport`]), while CRC
-//! corruption anywhere surfaces [`StoreError::Corrupt`].
+//! into the active file, one block per node in node order, with one
+//! `write` call; a failed write cuts the file back to its length before
+//! the flush and leaves every event staged. A process kill between
+//! flushes loses only the staged tail; the flush does not `fsync`, so a
+//! power loss can lose more. [`SignatureStore::open`] recovers a
+//! directory written by a killed process — a cleanly truncated final
+//! segment is cut back to its last complete block (reported in
+//! [`RecoveryReport`]), while CRC corruption anywhere surfaces
+//! [`StoreError::Corrupt`].
 
 use crate::error::{Result, StoreError};
 use crate::format::{self, BlockRef, Encoding, FileHeader, FILE_HEADER_LEN};
@@ -722,8 +726,8 @@ impl SignatureStore {
         Ok(())
     }
 
-    /// Writes node `idx`'s staged events out as one block.
-    fn flush_node(&mut self, idx: usize) -> Result<()> {
+    /// Refuses writes once a failed append could not be rolled back.
+    fn check_writable(&self) -> Result<()> {
         if self.poisoned {
             return Err(StoreError::Invalid(
                 "store poisoned: a failed append could not be rolled back; \
@@ -731,11 +735,19 @@ impl SignatureStore {
                     .into(),
             ));
         }
-        let buf = &mut self.node_bufs[idx];
-        if buf.windows.is_empty() {
+        Ok(())
+    }
+
+    /// Encodes node `idx`'s staged events as one block at the end of
+    /// `scratch` and indexes it at the file offset it will land on. A
+    /// node with nothing staged adds nothing.
+    fn encode_staged(&mut self, idx: usize) -> Result<()> {
+        let buf = &self.node_bufs[idx];
+        let (Some(&first_window), Some(&last_window)) = (buf.windows.first(), buf.windows.last())
+        else {
             return Ok(());
-        }
-        self.scratch.clear();
+        };
+        let at = self.scratch.len();
         format::encode_block(
             &mut self.scratch,
             &self.active.header,
@@ -743,12 +755,27 @@ impl SignatureStore {
             &buf.windows,
             &buf.values,
         )?;
+        self.active.entries.push(BlockEntry {
+            node: idx as u32,
+            first_window,
+            last_window,
+            offset: self.active.bytes + at as u64,
+            len: (self.scratch.len() - at) as u32,
+        });
+        Ok(())
+    }
+
+    /// Appends `scratch` (the blocks indexed from entry `first` on)
+    /// with one write, then un-stages their events.
+    fn append_staged(&mut self, first: usize) -> Result<()> {
         if let Err(e) = self.active_file.write_all(&self.scratch) {
             // A partial append leaves garbage between the last indexed
-            // block and wherever the cursor stopped. Roll the file back
-            // to the known-good boundary so a later retry (the events
-            // are still staged) appends cleanly; if even that fails,
-            // poison the store rather than desync file and index.
+            // block and wherever the cursor stopped. Roll the file and
+            // the index back to the known-good boundary so a later
+            // retry (every event is still staged) appends cleanly; if
+            // even that fails, poison the store rather than desync file
+            // and index.
+            self.active.entries.truncate(first);
             let rolled = self.active_file.set_len(self.active.bytes).is_ok()
                 && self
                     .active_file
@@ -757,31 +784,50 @@ impl SignatureStore {
             self.poisoned = !rolled;
             return Err(e.into());
         }
-        self.active.entries.push(BlockEntry {
-            node: idx as u32,
-            first_window: buf.windows[0],
-            // lint:allow(no-panic-paths): non-empty by the early return
-            // at the top of flush_node.
-            last_window: *buf.windows.last().unwrap(),
-            offset: self.active.bytes,
-            len: self.scratch.len() as u32,
-        });
-        let count = buf.windows.len() as u64;
-        self.active.events += count;
-        self.active.bytes += self.scratch.len() as u64;
-        self.staged_events -= count;
-        self.stats.blocks += 1;
-        self.stats.bytes_written += self.scratch.len() as u64;
-        buf.windows.clear();
-        buf.values.clear();
+        let written = self.scratch.len() as u64;
+        self.active.bytes += written;
+        self.stats.bytes_written += written;
+        for entry in &self.active.entries[first..] {
+            let buf = &mut self.node_bufs[entry.node as usize];
+            let count = buf.windows.len() as u64;
+            self.active.events += count;
+            self.staged_events -= count;
+            self.stats.blocks += 1;
+            buf.windows.clear();
+            buf.values.clear();
+        }
         Ok(())
     }
 
+    /// Writes node `idx`'s staged events out as one block.
+    fn flush_node(&mut self, idx: usize) -> Result<()> {
+        self.check_writable()?;
+        let first = self.active.entries.len();
+        self.scratch.clear();
+        self.encode_staged(idx)?;
+        if self.scratch.is_empty() {
+            return Ok(());
+        }
+        self.append_staged(first)
+    }
+
     /// Writes every staged event to the active segment (possibly as
-    /// partial blocks). After `flush`, a process kill loses nothing.
+    /// partial blocks): one block per node, in node order, appended
+    /// with one write. After `flush`, a process kill loses nothing. A
+    /// failed write cuts the file back to its length before the flush,
+    /// so every event stays staged for a retry.
     pub fn flush(&mut self) -> Result<()> {
+        self.check_writable()?;
+        let first = self.active.entries.len();
+        self.scratch.clear();
         for idx in 0..self.node_bufs.len() {
-            self.flush_node(idx)?;
+            if let Err(e) = self.encode_staged(idx) {
+                self.active.entries.truncate(first);
+                return Err(e);
+            }
+        }
+        if !self.scratch.is_empty() {
+            self.append_staged(first)?;
         }
         self.active_file.flush()?;
         Ok(())
@@ -1390,6 +1436,63 @@ mod tests {
         assert_eq!(back, expect);
         assert_eq!(back, live);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// CRC-32 of every segment file of a store written by this fixed
+    /// push-and-flush sequence: several nodes with sparse ids, full
+    /// blocks written by `push` and partial ones by two `flush` calls.
+    fn golden_segment_crc(encoding: Encoding) -> u32 {
+        let dir = tmpdir(&format!("golden-{encoding:?}"));
+        let cfg = StoreConfig::default()
+            .with_encoding(encoding)
+            .with_block_events(5);
+        let mut store = SignatureStore::open(&dir, spec(), 2, cfg).unwrap();
+        for w in 0..23u64 {
+            for node in [7u32, 0, 3, 12] {
+                if (node as u64 + w) % 3 != 1 {
+                    store
+                        .push(node, w, &sig(2, node as f64 * 5.0 + w as f64))
+                        .unwrap();
+                }
+            }
+            if w == 11 {
+                store.flush().unwrap();
+            }
+        }
+        store.flush().unwrap();
+        assert_eq!(store.staged_events(), 0);
+        let on_disk = store.bytes_on_disk();
+        drop(store);
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "cws"))
+            .collect();
+        paths.sort();
+        let mut crc = crate::crc::Crc32::new();
+        let mut len = 0u64;
+        for p in &paths {
+            let bytes = std::fs::read(p).unwrap();
+            len += bytes.len() as u64;
+            crc.update(&bytes);
+        }
+        assert_eq!(len, on_disk);
+        std::fs::remove_dir_all(&dir).ok();
+        crc.finish()
+    }
+
+    #[test]
+    fn multi_node_flush_writes_the_golden_segment_bytes() {
+        // Taken from a store that wrote each block with its own `write`
+        // call: appending a flush's blocks with one write moves no byte.
+        for (encoding, want) in [
+            (Encoding::Exact, 0x79b0_8969),
+            (Encoding::Quant8, 0xe312_6a45),
+            (Encoding::Quant16, 0xe5ef_e4ab),
+        ] {
+            let got = golden_segment_crc(encoding);
+            assert_eq!(got, want, "{encoding:?}: {got:#010x}");
+        }
     }
 
     #[test]
