@@ -22,8 +22,23 @@
 //! The queue is one `Mutex` over a preallocated `VecDeque` of boxed
 //! envelopes and the recycle pool, plus one `Condvar`, `not_empty`, on
 //! which an idle consumer sleeps. Each side takes the lock once per
-//! event, and a push signals the consumer only while it is waiting. A
-//! producer facing a full queue under [`QueuePolicy::Block`] does not
+//! event, and a push signals the consumer only while it is waiting.
+//!
+//! A consumer that finds the queue empty backs off before it parks: it
+//! spins (`spin_loop`, 1, 2, … 32 times), then yields its core ten
+//! times, re-checking the queue under the lock after every step, and
+//! only then waits on `not_empty`. A consumer that parked the moment it
+//! drained made the very next push wake it again, so a hand-off cost
+//! more than the signature it carried. On a 2-vCPU Xeon host, a 1,024-
+//! node fleet engine (1.7 µs per event alone) feeding a `Tee` of three
+//! queued branches into sinks that do nothing took 6.2–7.9 µs per event
+//! on one core, with 0.9 context switches per branch-event; with the
+//! backoff it takes 2.0–2.1 µs, with ~500 switches over 289k
+//! branch-events. On both cores it went from 2.5–3.5 to 2.3–2.6 µs. A
+//! parked consumer still costs nothing, and [`QueueStats::wakeups`]
+//! counts the pushes that had to wake one.
+//!
+//! A producer facing a full queue under [`QueuePolicy::Block`] does not
 //! sleep: it releases the lock and yields until the consumer has made
 //! room. A sleeping producer resumes only after the consumer has woken
 //! it and the scheduler has run it again; on a loaded two-vCPU host that
@@ -103,16 +118,23 @@ pub struct QueueStats {
     pub delivered: u64,
     /// Events evicted under [`QueuePolicy::DropOldest`].
     pub dropped: u64,
-    /// Events waiting in the queue. The one event the consumer is
-    /// handing to the inner sink counts neither here nor in
-    /// `delivered` until that call returns.
+    /// Events waiting in the queue. The event the consumer is handing
+    /// to the inner sink counts in `in_flight`, not here, so
+    /// `pushed == delivered + dropped + depth + in_flight` holds on
+    /// every snapshot of a branch that has not failed.
     pub depth: usize,
+    /// The event the consumer has popped and is handing to the inner
+    /// sink: 0 or 1. It moves to `delivered` once that call returns.
+    pub in_flight: usize,
     /// Highest queue occupancy right after a push. The producer reads
     /// the occupancy under the queue lock, so this is the exact maximum
     /// over every push so far.
     pub high_watermark: usize,
     /// Queue capacity: [`QueueConfig::capacity`], at least 1.
     pub capacity: usize,
+    /// Pushes that signalled a parked consumer: each one costs the
+    /// consumer a futex wake and a context switch.
+    pub wakeups: u64,
 }
 
 /// Consumer-side failure latch: the first error is kept intact for the
@@ -148,6 +170,8 @@ struct State {
     recycled: Vec<Box<FleetEvent>>,
     /// Envelopes the inner sink accepted.
     delivered: u64,
+    /// The consumer has popped an envelope and not yet settled it.
+    in_flight: bool,
     /// Producer has stopped pushing; consumer drains and exits.
     done: bool,
     /// A [`QueueSink::join_timeout`] gave up waiting: the consumer must
@@ -239,6 +263,7 @@ pub struct QueueSink<S> {
     pushed: u64,
     dropped: u64,
     high_watermark: usize,
+    wakeups: u64,
     /// Live registry handles ([`QueueSink::with_metrics`]); `None`
     /// keeps the push path free of metric stores.
     metrics: Option<QueueMetrics>,
@@ -267,6 +292,7 @@ const METRICS_REFRESH_EVERY: u64 = 64;
 struct QueueMetrics {
     pushed: Counter,
     dropped: Counter,
+    wakeups: Counter,
     depth: Gauge,
     high_watermark: Gauge,
 }
@@ -290,7 +316,8 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
     /// gauges refreshed by the producer once per
     /// `METRICS_REFRESH_EVERY` pushes (relaxed stores on
     /// pre-registered handles: no allocation, amortised to a fraction
-    /// of a store per push), the delivered counter bumped by the
+    /// of a store per push), the wakeup counter bumped with each wake
+    /// the producer sends, the delivered counter bumped by the
     /// consumer thread as it feeds the inner sink. The handles outlive
     /// the sink and are flushed exactly at join, so the series read the
     /// true totals after [`QueueSink::join`].
@@ -299,6 +326,7 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
         let metrics = QueueMetrics {
             pushed: registry.counter("cws_queue_pushed_total", labels),
             dropped: registry.counter("cws_queue_dropped_total", labels),
+            wakeups: registry.counter("cws_queue_wakeups_total", labels),
             depth: registry.gauge("cws_queue_depth", labels),
             high_watermark: registry.gauge("cws_queue_high_watermark", labels),
         };
@@ -326,6 +354,7 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
                 queue: VecDeque::with_capacity(capacity),
                 recycled: Vec::new(),
                 delivered: 0,
+                in_flight: false,
                 done: false,
                 abandoned: false,
                 failure: None,
@@ -350,6 +379,7 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
             pushed: 0,
             dropped: 0,
             high_watermark: 0,
+            wakeups: 0,
             metrics,
             pushed_flushed: 0,
             label,
@@ -358,13 +388,13 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
 }
 
 impl<S> QueueSink<S> {
-    /// Current branch telemetry: `delivered` and `depth` are read under
-    /// the queue lock, the producer-side fields are exact for
-    /// everything pushed so far. While the consumer is mid-delivery its
-    /// event is in neither `depth` nor `delivered` (see
-    /// [`QueueStats::depth`]); once the branch is quiescent — drained,
-    /// or after [`QueueSink::join`]/[`QueueSink::join_timeout`] —
-    /// `pushed == delivered + dropped + depth` holds exactly.
+    /// Current branch telemetry: `delivered`, `depth` and `in_flight`
+    /// are read in one critical section, and the producer-side fields
+    /// are exact for everything pushed so far. So
+    /// `pushed == delivered + dropped + depth + in_flight` holds on
+    /// every snapshot, mid-run included, until the inner sink fails:
+    /// the event it rejected, and the backlog a failed branch drains,
+    /// are never delivered.
     pub fn stats(&self) -> QueueStats {
         let state = self.shared.lock();
         QueueStats {
@@ -372,8 +402,10 @@ impl<S> QueueSink<S> {
             delivered: state.delivered,
             dropped: self.dropped,
             depth: state.queue.len(),
+            in_flight: usize::from(state.in_flight),
             high_watermark: self.high_watermark,
             capacity: self.shared.capacity,
+            wakeups: self.wakeups,
         }
     }
 
@@ -396,8 +428,9 @@ impl<S> QueueSink<S> {
     /// snapshot). On timeout the consumer thread is *abandoned* — told
     /// to stop delivering and detached, never blocked on — and the call
     /// returns `(None, stats, Err(_))`, with the undrained backlog
-    /// reported in [`QueueStats::depth`] rather than silently waited
-    /// out. Events already handed to the inner sink are not rolled
+    /// reported in [`QueueStats::depth`] (and the event the inner sink
+    /// is stuck on in [`QueueStats::in_flight`]) rather than silently
+    /// waited out. Events already handed to the inner sink are not rolled
     /// back; abandoned queued events are dropped undelivered.
     pub fn join_timeout(mut self, timeout: Duration) -> (Option<S>, QueueStats, Result<()>) {
         self.shared.stop(false);
@@ -519,6 +552,10 @@ impl<S> QueueSink<S> {
         }
         drop(state);
         if wake {
+            self.wakeups += 1;
+            if let Some(m) = &self.metrics {
+                m.wakeups.inc();
+            }
             shared.not_empty.notify_one();
         }
         self.pushed += 1;
@@ -544,6 +581,7 @@ impl<S> Observe for QueueSink<S> {
         out.counter("cws_queue_pushed_total", labels, stats.pushed);
         out.counter("cws_queue_delivered_total", labels, stats.delivered);
         out.counter("cws_queue_dropped_total", labels, stats.dropped);
+        out.counter("cws_queue_wakeups_total", labels, stats.wakeups);
         out.gauge("cws_queue_depth", labels, stats.depth as f64);
         out.gauge(
             "cws_queue_high_watermark",
@@ -585,6 +623,7 @@ fn consumer_loop<S: FleetSink>(shared: &Shared, mut inner: S, delivered: Option<
         if let Some((buf, accepted)) = spent.take() {
             state.recycled.push(buf);
             state.delivered += u64::from(accepted);
+            state.in_flight = false;
         }
         let Some((buf, failed)) = next_envelope(shared, state) else {
             return inner;
@@ -611,24 +650,51 @@ fn consumer_loop<S: FleetSink>(shared: &Shared, mut inner: S, delivered: Option<
     }
 }
 
+/// Backoff steps an idle consumer spins through before it yields: step
+/// `k` spins `2^k` times (1, 2, … 32).
+const SPIN_STEPS: u32 = 6;
+
+/// Backoff steps an idle consumer yields its core for, after the spins
+/// and before it parks on `not_empty`.
+const YIELD_STEPS: u32 = 10;
+
 /// Waits for the next queued envelope and returns it with whether the
 /// branch has already failed (a failed branch drains without
 /// delivering). Returns `None` once the consumer must exit: the
 /// producer is done and the queue is empty, or the branch was
 /// abandoned — its backlog is then dropped with the queue.
-fn next_envelope(
-    shared: &Shared,
-    mut state: MutexGuard<'_, State>,
+///
+/// On an empty queue the consumer backs off (see the module docs)
+/// before it parks, re-checking abandonment, the queue and `done`
+/// under the lock after every step.
+fn next_envelope<'a>(
+    shared: &'a Shared,
+    mut state: MutexGuard<'a, State>,
 ) -> Option<(Box<FleetEvent>, bool)> {
+    let mut step = 0;
     loop {
         if state.abandoned {
             return None;
         }
         if let Some(buf) = state.queue.pop_front() {
+            state.in_flight = true;
             return Some((buf, state.failure.is_some()));
         }
         if state.done {
             return None;
+        }
+        if step < SPIN_STEPS + YIELD_STEPS {
+            drop(state);
+            if step < SPIN_STEPS {
+                for _ in 0..1u32 << step {
+                    std::hint::spin_loop();
+                }
+            } else {
+                thread::yield_now();
+            }
+            step += 1;
+            state = shared.lock();
+            continue;
         }
         state.consumer_waiting = true;
         state = shared
@@ -779,6 +845,8 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(10), "must not hang");
         assert!(inner.is_none(), "wedged sink cannot be returned");
         assert!(stats.depth > 0, "undrained backlog must be reported");
+        assert_eq!(stats.in_flight, 1, "the wedged event is in flight");
+        assert_eq!(stats.pushed, stats.depth as u64 + 1);
         let msg = res.unwrap_err().to_string();
         assert!(msg.contains("still queued"), "unexpected error: {msg}");
 
@@ -871,15 +939,17 @@ mod tests {
         for i in 0..40 {
             sink.on_event(&event(i % 2, i / 2)).unwrap();
         }
-        // The snapshot path mirrors stats() one sample per field.
+        // The snapshot path mirrors stats() one sample per exported
+        // field (`in_flight` is not exported).
         let mut snap = Snapshot::new();
         sink.observe(&mut snap);
-        assert_eq!(snap.samples().len(), 6);
+        assert_eq!(snap.samples().len(), 7);
         assert!(snap
             .samples()
             .iter()
             .all(|s| s.labels == vec![("queue".to_string(), "test".to_string())]));
 
+        let wakeups = sink.stats().wakeups;
         let (collect, res) = sink.join();
         res.unwrap();
         assert_eq!(collect.events().len(), 40);
@@ -897,6 +967,10 @@ mod tests {
         assert_eq!(value("cws_queue_pushed_total"), Some(Value::Counter(40)));
         assert_eq!(value("cws_queue_delivered_total"), Some(Value::Counter(40)));
         assert_eq!(value("cws_queue_dropped_total"), Some(Value::Counter(0)));
+        assert_eq!(
+            value("cws_queue_wakeups_total"),
+            Some(Value::Counter(wakeups))
+        );
         assert_eq!(value("cws_queue_capacity"), Some(Value::Gauge(8.0)));
     }
 

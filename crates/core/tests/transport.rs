@@ -10,7 +10,9 @@
 //!   synchronous sink error;
 //! * [`QueuePolicy::DropOldest`]'s drop counter is exact under forced
 //!   overflow (consumer gated, queue filled, evictions counted one by
-//!   one).
+//!   one);
+//! * a consumer that drains a burst backs off before it parks, so a
+//!   burst costs about one wakeup, not one per event.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -292,4 +294,49 @@ fn drop_oldest_counter_is_exact_under_forced_overflow() {
     // the drop-oldest semantics (old events go, fresh ones stay).
     let survivors: Vec<usize> = gate.inner.events().iter().map(|e| e.window_index).collect();
     assert_eq!(survivors, vec![0, 4, 5, 6, 7]);
+}
+
+#[test]
+fn bursts_into_a_fast_consumer_wake_it_about_once_per_burst() {
+    const BURSTS: usize = 64;
+    const BURST: usize = 64;
+    let mut queue = QueueSink::spawn(Collect::new());
+    let event = |i: usize| FleetEvent {
+        node: i % 3,
+        window_index: i,
+        signature: cwsmooth_core::cs::CsSignature {
+            re: vec![i as f64],
+            im: vec![-(i as f64)],
+        },
+    };
+    for burst in 0..BURSTS {
+        for i in burst * BURST..(burst + 1) * BURST {
+            queue.on_event(&event(i)).unwrap();
+            // About what the engine spends on an event's signature: the
+            // consumer drains each push before the next one lands.
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_micros(2) {
+                std::hint::spin_loop();
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = queue.stats();
+    let (collect, res) = queue.join();
+    res.unwrap();
+    let events = BURSTS * BURST;
+    let windows: Vec<usize> = collect.events().iter().map(|e| e.window_index).collect();
+    assert_eq!(
+        windows,
+        (0..events).collect::<Vec<_>>(),
+        "every event, in order"
+    );
+    // A consumer that parked the moment it drained would be woken by
+    // about half the pushes on one core and one in seven on two; one
+    // that backs off is woken about once per burst.
+    assert!(
+        stats.wakeups <= (events / 8) as u64,
+        "{} wakeups for {events} events in {BURSTS} bursts",
+        stats.wakeups
+    );
 }

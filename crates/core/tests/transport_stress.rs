@@ -4,17 +4,19 @@
 //! Each seed drives one producer/consumer run with pseudo-random
 //! `yield_now` injection on *both* sides of the queue, perturbing the
 //! interleaving between the producer's push path (including DropOldest
-//! eviction) and the consumer's pop/wait loop.  At quiescence every run
-//! must satisfy the conservation identity
+//! eviction) and the consumer's pop/wait loop.  Every snapshot, the
+//! producer's mid-run reads after each push included, must satisfy the
+//! conservation identity
 //!
 //! ```text
-//! pushed == delivered + dropped + depth
+//! pushed == delivered + dropped + depth + in_flight
 //! ```
 //!
-//! and `join()` must drain the queue and return cleanly.  The default
-//! sweep is 64 seeds per policy; CI sets `TRANSPORT_STRESS_SEEDS=8` for
-//! a fast subset (the seed *values* are identical prefixes, so a CI
-//! failure always reproduces locally).
+//! the run must reach a drained snapshot, and `join()` must drain the
+//! queue and return cleanly.  The default sweep is 64 seeds per policy;
+//! CI sets `TRANSPORT_STRESS_SEEDS=8` for a fast subset (the seed
+//! *values* are identical prefixes, so a CI failure always reproduces
+//! locally).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use cwsmooth_core::error::Result;
 use cwsmooth_core::fleet::{FleetEvent, FleetSink};
-use cwsmooth_core::transport::{QueueConfig, QueuePolicy, QueueSink};
+use cwsmooth_core::transport::{QueueConfig, QueuePolicy, QueueSink, QueueStats};
 
 const DEFAULT_SEEDS: u64 = 64;
 const EVENTS_PER_RUN: usize = 400;
@@ -95,8 +97,13 @@ fn event(node: usize, window_index: usize) -> FleetEvent {
     }
 }
 
-/// Runs one seeded producer/consumer session and checks conservation at
-/// quiescence and after `join()`.
+/// The conservation identity of one snapshot.
+fn balanced(s: &QueueStats) -> bool {
+    s.pushed == s.delivered + s.dropped + s.depth as u64 + s.in_flight as u64
+}
+
+/// Runs one seeded producer/consumer session and checks conservation on
+/// every mid-run snapshot, once drained, and after `join()`.
 fn stress_one(seed: u64, policy: QueuePolicy) {
     let mut rng = SplitMix::new(seed);
     // Small queues overflow constantly, which is the point.
@@ -117,38 +124,35 @@ fn stress_one(seed: u64, policy: QueuePolicy) {
         let node = (rng.next() % nodes as u64) as usize;
         queue.on_event(&event(node, windows[node])).unwrap();
         windows[node] += 1;
+        // `stats()` reads the consumer's terms in one critical section,
+        // so the identity holds mid-run, not only once drained.
+        let mid = queue.stats();
+        assert!(balanced(&mid), "seed {seed} ({policy:?}): mid-run {mid:?}");
+        assert!(mid.in_flight <= 1, "seed {seed} ({policy:?}): {mid:?}");
         for _ in 0..(rng.next() % 3) {
             std::thread::yield_now();
         }
     }
 
-    // Quiescence: the identity must hold on a *drained, stable*
-    // snapshot — two consecutive reads that agree, balance, and find
-    // the queue empty.  While events are still queued the consumer is
-    // still delivering: the event it is handing to the sink counts
-    // neither in `depth` nor in `delivered`, so any later read would
-    // tear.  Only an empty queue with nothing in flight is quiescent.
+    // Quiescence: the consumer drains the queue and settles its last
+    // event; with nothing queued or in flight no later read can change.
     let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let a = queue.stats();
-        let b = queue.stats();
-        let balanced =
-            a.pushed == a.delivered + a.dropped + a.depth as u64 && a.delivered == b.delivered;
-        if balanced && a.depth == 0 && b.depth == 0 && a.dropped == b.dropped {
-            break;
+    let before = loop {
+        let s = queue.stats();
+        assert!(balanced(&s), "seed {seed} ({policy:?}): {s:?}");
+        if s.depth == 0 && s.in_flight == 0 {
+            break s;
         }
         assert!(
             Instant::now() < deadline,
-            "seed {seed} ({policy:?}): no quiescent balanced snapshot; last {a:?}"
+            "seed {seed} ({policy:?}): no drained snapshot; last {s:?}"
         );
         std::thread::yield_now();
-    }
-
-    let before = queue.stats();
+    };
     assert_eq!(
         before.pushed,
-        before.delivered + before.dropped + before.depth as u64,
-        "seed {seed} ({policy:?}): conservation broke at quiescence: {before:?}"
+        before.delivered + before.dropped,
+        "seed {seed} ({policy:?}): conservation broke once drained: {before:?}"
     );
     assert_eq!(before.pushed, EVENTS_PER_RUN as u64);
     if matches!(policy, QueuePolicy::Block) {

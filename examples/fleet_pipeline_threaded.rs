@@ -17,7 +17,8 @@
 //! the synchronous `fleet_pipeline` example delivers, so the scorecard
 //! below is held to the same acceptance bar (≥ 0.9 window accuracy).
 //! After the run the sinks are recovered with `join()` and the queue
-//! telemetry (pushed / high watermark / drops) is reported per branch.
+//! telemetry (pushed / high watermark / drops / in flight / consumer
+//! wakeups) is reported per branch.
 //!
 //! ```sh
 //! cargo run --release --example fleet_pipeline_threaded
@@ -165,8 +166,14 @@ impl FleetSink for Scorer {
 
 fn print_queue(tag: &str, stats: &QueueStats) {
     println!(
-        "  {tag:>8} queue: {} pushed, high watermark {}/{}, {} dropped",
-        stats.pushed, stats.high_watermark, stats.capacity, stats.dropped
+        "  {tag:>8} queue: {} pushed, high watermark {}/{}, {} dropped, {} in flight, \
+         {} consumer wakeups",
+        stats.pushed,
+        stats.high_watermark,
+        stats.capacity,
+        stats.dropped,
+        stats.in_flight,
+        stats.wakeups
     );
 }
 
