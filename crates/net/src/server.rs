@@ -15,9 +15,13 @@
 //! - **Acks mean committed.** A frame's blocks are delivered in order,
 //!   each event through the dedupe floor. At the end of a frame, once
 //!   [`ServerConfig::ack_every`] events (replays included) arrived
-//!   since the last ack, the server calls [`NetSink::commit`] (flush,
-//!   for a store) and *then* acknowledges the frame, so an acked event
-//!   survives a consumer crash.
+//!   since the last ack, the server calls [`NetSink::commit`] and
+//!   *then* acknowledges the frame, so an acked event survives a
+//!   consumer process kill. For a store, commit is
+//!   [`SignatureStore::persist`]: one journal append per commit, while
+//!   the events stay staged and are packed into multi-event blocks
+//!   later. Nothing is `fsync`ed, so an acked event can still be lost
+//!   to a power loss.
 //! - **Restarts are normal.** A connection dying mid-stream is counted
 //!   and tolerated; the serve loop simply accepts the client's next
 //!   connection. Replayed events are absorbed by per-`(node, window)`
@@ -42,16 +46,22 @@ use std::time::Duration;
 /// make every event delivered so far survive a process crash before it
 /// returns. The server commits before acknowledging.
 pub trait NetSink: FleetSink {
-    /// Flushes delivered events to stable storage. The default is a
+    /// Makes delivered events survive a process crash. The default is a
     /// no-op, correct for in-memory sinks.
     fn commit(&mut self) -> cwsmooth_core::error::Result<()> {
         Ok(())
     }
 }
 
+/// Commit journals: [`SignatureStore::persist`] appends the events
+/// delivered since the last commit to the store's write-ahead journal
+/// and keeps them staged, so blocks are cut at the store's own cadence
+/// (`block_events`, or 16,384 staged events) rather than one per commit.
+/// The journal survives a process kill, not a power loss.
 impl NetSink for SignatureStore {
     fn commit(&mut self) -> cwsmooth_core::error::Result<()> {
-        self.flush().map_err(|e| CoreError::Persist(e.to_string()))
+        self.persist()
+            .map_err(|e| CoreError::Persist(e.to_string()))
     }
 }
 

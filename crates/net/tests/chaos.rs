@@ -27,7 +27,8 @@ use cwsmooth_core::fleet::{FleetEvent, FleetSink};
 use cwsmooth_core::CsSignature;
 use cwsmooth_data::WindowSpec;
 use cwsmooth_net::{
-    BlockCodec, ChaosConfig, ChaosHub, NetConfig, NetError, Server, ServerConfig, SocketSink,
+    BlockCodec, ChaosConfig, ChaosHub, NetConfig, NetError, NetSink, Server, ServerConfig,
+    SocketSink,
 };
 use cwsmooth_store::{Encoding, SignatureStore, StoreConfig};
 
@@ -316,6 +317,126 @@ fn consumer_kill_and_restart_loses_nothing() {
     assert_eq!(store.events(), events.len() as u64);
     drop(store);
     assert_eq!(fingerprint(&store_dir), want);
+}
+
+/// The consumer kill again, with the store's default 256-event blocks:
+/// every commit journals, so the kill finds the committed events staged
+/// and in `journal.cws`, not in blocks. The kill skips the store's
+/// `Drop`, whose flush a SIGKILL would not run either; the restarted
+/// store replays the journal. Every sent event must end up stored once,
+/// with its sent values bit for bit. Block layout follows when packing
+/// happened, so events are compared rather than bytes.
+#[test]
+fn consumer_kill_and_restart_through_the_journal_loses_nothing() {
+    let events = feed(8, 30);
+    let half = events.len() / 2;
+    let tmp = tempdir::scratch("chaos-journal-kill");
+    let cfg = StoreConfig::default().with_encoding(Encoding::Exact);
+    let store_dir = tmp.join("store");
+
+    let hub = ChaosHub::new();
+    let mut server = Server::new(codec(), server_cfg()).unwrap();
+    let (commits, committed_once) = std::sync::mpsc::sync_channel(1);
+    let mut sink = Signalled {
+        store: SignatureStore::open(&store_dir, SPEC, L, cfg).unwrap(),
+        commits,
+    };
+    let mut acceptor = hub.acceptor();
+    let handle = std::thread::spawn(move || {
+        let result = server.serve(&mut acceptor, &mut sink);
+        (result, sink.store)
+    });
+    let spill_dir = tmp.join("spill");
+    let mut client = SocketSink::new(
+        hub.dialer(ChaosConfig::default()),
+        codec(),
+        &spill_dir,
+        client_cfg(),
+    )
+    .unwrap();
+    for e in &events[..half] {
+        client.on_event(e).unwrap();
+    }
+
+    // Kill once something is committed (the first 64-event frame went
+    // out above), so the journal holds events when the consumer dies.
+    committed_once
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the server committed the first frame");
+    hub.close();
+    hub.kill_connections();
+    let (served, store) = handle.join().unwrap();
+    served.unwrap();
+    let committed = store.events();
+    assert!(committed > 0 && committed <= half as u64, "{committed}");
+    assert_eq!(
+        store.staged_events(),
+        committed,
+        "premise: no block was cut"
+    );
+    assert!(store.stats().journal_bytes > 0);
+    std::mem::forget(store);
+
+    let store = SignatureStore::open(&store_dir, SPEC, L, cfg).unwrap();
+    assert_eq!(store.recovery().journal_events, committed);
+    let mut server = Server::new(codec(), server_cfg()).unwrap();
+    server.seed_from_store(&store).unwrap();
+    hub.reopen();
+    let handle = spawn_server(&hub, server, store);
+    for e in &events[half..] {
+        client.on_event(e).unwrap();
+    }
+    let (stats, result) = client.finish(Duration::from_secs(60));
+    result.unwrap();
+    assert_eq!(stats.dropped, 0);
+    assert!(stats.disconnects >= 1, "the kill must have been observed");
+
+    hub.close();
+    hub.kill_connections();
+    let (served, store) = handle.join().unwrap();
+    served.unwrap();
+    let mut stored = Vec::new();
+    store
+        .for_each(|node, window, values| stored.push((node, window, values.to_vec())))
+        .unwrap();
+    stored.sort_by_key(|&(node, window, _)| (node, window));
+    let mut sent: Vec<_> = events
+        .iter()
+        .map(|e| {
+            let s = &e.signature;
+            let values = s.re.iter().chain(&s.im).copied().collect::<Vec<f64>>();
+            (e.node as u32, e.window_index as u64, values)
+        })
+        .collect();
+    sent.sort_by_key(|&(node, window, _)| (node, window));
+    assert_eq!(stored.len(), sent.len());
+    for (got, want) in stored.iter().zip(&sent) {
+        assert_eq!((got.0, got.1), (want.0, want.1));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&got.2), bits(&want.2), "({}, {})", got.0, got.1);
+    }
+}
+
+/// A store that reports each commit on a channel, so a test can kill
+/// its consumer once something is committed.
+struct Signalled {
+    store: SignatureStore,
+    commits: std::sync::mpsc::SyncSender<()>,
+}
+
+impl FleetSink for Signalled {
+    fn on_event(&mut self, event: &FleetEvent) -> cwsmooth_core::error::Result<()> {
+        self.store.on_event(event)
+    }
+}
+
+impl NetSink for Signalled {
+    fn commit(&mut self) -> cwsmooth_core::error::Result<()> {
+        self.store.commit()?;
+        // Only the first commit matters; later ones find the slot full.
+        let _ = self.commits.try_send(());
+        Ok(())
+    }
 }
 
 /// Kill the producer process mid-stream while the server is down: its

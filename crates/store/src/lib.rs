@@ -18,8 +18,9 @@
 //!   surface [`StoreError::Corrupt`], never a panic.
 //! * [`SignatureStore`] — ingest (a
 //!   [`FleetSink`](cwsmooth_core::fleet::FleetSink), allocation-free in
-//!   steady state), segment roll-over, retention, reopen-from-disk crash
-//!   recovery, indexed range scans.
+//!   steady state), a write-ahead journal for commits that must survive
+//!   a process kill without cutting blocks, segment roll-over,
+//!   retention, reopen-from-disk crash recovery, indexed range scans.
 //! * [`SignatureIndex`] — exact and coarse-quantized k-NN under
 //!   [`Distance::L2`] or [`Distance::Pearson`], plus
 //!   [`SignatureStore::extract_training_set`] /

@@ -995,8 +995,10 @@ impl SignatureIndex {
         if n == 0 || self.dim == 0 {
             return false;
         }
+        let mut buf = Vec::new();
         let Some(mut sc) = KnnSidecar::load(
             store.dir(),
+            &mut buf,
             fingerprint,
             self.distance.code(),
             self.dim as u32,
@@ -1023,7 +1025,7 @@ impl SignatureIndex {
         };
         // `load` validated every assignment against the centroid count.
         // The sidecar keeps codes in row order; the grouping pass moves
-        // each into list order as it places the row.
+        // each from the file buffer into list order as it places the row.
         let mut codes = vec![0u8; pq.as_ref().map_or(0, |p| p.codes.len())];
         let lists = Lists::group(&sc.assign, have_nlist, |i, p| {
             if let Some(pq) = &pq {
@@ -1049,17 +1051,18 @@ impl SignatureIndex {
     /// failing to persist never fails the build.
     fn save_quantizer(&self, store: &SignatureStore, fingerprint: u64, assign: Vec<u32>) {
         let Some(coarse) = &self.coarse else { return };
-        let pq = self.pq.as_ref().map(|p| {
-            // The sidecar keeps codes in row order.
-            let mut codes = vec![0u8; p.codes.len()];
+        // The sidecar keeps codes in row order.
+        let mut codes = Vec::new();
+        if let Some(p) = &self.pq {
+            codes.resize(p.codes.len(), 0);
             for (code, &i) in p.codes.chunks_exact(p.m).zip(&coarse.lists.ids) {
                 codes[i as usize * p.m..(i as usize + 1) * p.m].copy_from_slice(code);
             }
-            PqSidecar {
-                m: p.m as u32,
-                codebooks: p.codebooks.clone(),
-                codes,
-            }
+        }
+        let pq = self.pq.as_ref().map(|p| PqSidecar {
+            m: p.m as u32,
+            codebooks: p.codebooks.clone(),
+            codes: &codes,
         });
         let sc = KnnSidecar {
             fingerprint,

@@ -311,13 +311,14 @@ impl SegSidecar {
 
 /// Product-quantization half of the k-NN sidecar.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PqSidecar {
+pub(crate) struct PqSidecar<'a> {
     /// Subquantizer count (`dim % m == 0`).
     pub m: u32,
     /// `m × 256 × (dim/m)` centroid table, subquantizer-major.
     pub codebooks: Vec<f64>,
-    /// `n × m` codes, vector-major.
-    pub codes: Vec<u8>,
+    /// `n × m` codes, vector-major; borrowed from the file buffer when
+    /// loaded, so adoption scatters them into list order in one copy.
+    pub codes: &'a [u8],
 }
 
 /// The persisted form of a [`SignatureIndex`](crate::SignatureIndex)
@@ -325,7 +326,7 @@ pub(crate) struct PqSidecar {
 /// assignment (inverted lists are rebuilt from the assignments during
 /// load — the vectors themselves come from one store scan).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct KnnSidecar {
+pub(crate) struct KnnSidecar<'a> {
     /// [`SignatureStore::fingerprint`](crate::SignatureStore::fingerprint)
     /// of the store the index was built from.
     pub fingerprint: u64,
@@ -336,10 +337,10 @@ pub(crate) struct KnnSidecar {
     pub centroids: Vec<f64>,
     /// Per stored vector (in store scan order): its inverted list.
     pub assign: Vec<u32>,
-    pub pq: Option<PqSidecar>,
+    pub pq: Option<PqSidecar<'a>>,
 }
 
-impl KnnSidecar {
+impl<'a> KnnSidecar<'a> {
     /// Serializes and atomically writes the k-NN sidecar.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = SidecarWriter::new(KNN_MAGIC);
@@ -366,17 +367,25 @@ impl KnnSidecar {
                 for &c in &pq.codebooks {
                     w.f64(c);
                 }
-                w.buf.extend_from_slice(&pq.codes);
+                w.buf.extend_from_slice(pq.codes);
             }
         }
         write_atomic(&knn_sidecar_path(dir), &w.finish(), false)
     }
 
-    /// Loads the k-NN sidecar. `None` when absent, damaged, or built
-    /// from a different store state / distance / dimension.
-    pub fn load(dir: &Path, fingerprint: u64, distance: u8, dim: u32) -> Option<Self> {
-        let bytes = std::fs::read(knn_sidecar_path(dir)).ok()?;
-        let mut r = SidecarReader::open(&bytes, KNN_MAGIC)?;
+    /// Loads the k-NN sidecar into `buf`, which the PQ codes then
+    /// borrow. `None` when absent, damaged, or built from a different
+    /// store state / distance / dimension.
+    pub fn load(
+        dir: &Path,
+        buf: &'a mut Vec<u8>,
+        fingerprint: u64,
+        distance: u8,
+        dim: u32,
+    ) -> Option<Self> {
+        *buf = std::fs::read(knn_sidecar_path(dir)).ok()?;
+        let bytes: &'a [u8] = buf;
+        let mut r = SidecarReader::open(bytes, KNN_MAGIC)?;
         if r.u64()? != fingerprint || r.u8()? != distance || r.u32()? != dim || dim == 0 {
             return None;
         }
@@ -403,7 +412,7 @@ impl KnnSidecar {
             }
             let dsub = (dim / m) as usize;
             let codebooks = r.f64_vec((m as usize).checked_mul(256)?.checked_mul(dsub)?)?;
-            let codes = r.take(n.checked_mul(m as usize)?)?.to_vec();
+            let codes = r.take(n.checked_mul(m as usize)?)?;
             Some(PqSidecar {
                 m,
                 codebooks,
@@ -660,12 +669,14 @@ mod tests {
     #[test]
     fn knn_sidecar_roundtrip_with_and_without_pq() {
         let dir = tmpdir("knnidx");
+        let codes: Vec<u8> = (0..6u8).collect();
+        let mut buf = Vec::new();
         for pq in [
             None,
             Some(PqSidecar {
                 m: 2,
                 codebooks: (0..2 * 256 * 2).map(|i| i as f64 * 0.5).collect(),
-                codes: (0..6u8).collect(),
+                codes: &codes,
             }),
         ] {
             let sc = KnnSidecar {
@@ -677,11 +688,11 @@ mod tests {
                 pq,
             };
             sc.save(&dir).unwrap();
-            assert_eq!(KnnSidecar::load(&dir, 77, 1, 4), Some(sc));
+            assert_eq!(KnnSidecar::load(&dir, &mut buf, 77, 1, 4), Some(sc));
             // Stale fingerprint / wrong distance / wrong dim: ignored.
-            assert_eq!(KnnSidecar::load(&dir, 78, 1, 4), None);
-            assert_eq!(KnnSidecar::load(&dir, 77, 0, 4), None);
-            assert_eq!(KnnSidecar::load(&dir, 77, 1, 8), None);
+            assert_eq!(KnnSidecar::load(&dir, &mut buf, 78, 1, 4), None);
+            assert_eq!(KnnSidecar::load(&dir, &mut buf, 77, 0, 4), None);
+            assert_eq!(KnnSidecar::load(&dir, &mut buf, 77, 1, 8), None);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

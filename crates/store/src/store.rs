@@ -24,12 +24,35 @@
 //! into the active file, one block per node in node order, with one
 //! `write` call; a failed write cuts the file back to its length before
 //! the flush and leaves every event staged. A process kill between
-//! flushes loses only the staged tail; the flush does not `fsync`, so a
-//! power loss can lose more. [`SignatureStore::open`] recovers a
-//! directory written by a killed process — a cleanly truncated final
-//! segment is cut back to its last complete block (reported in
-//! [`RecoveryReport`]), while CRC corruption anywhere surfaces
-//! [`StoreError::Corrupt`].
+//! flushes loses only the staged tail. [`SignatureStore::persist`] makes
+//! that tail survive a process kill without cutting blocks: it appends
+//! one block per node, holding the node's events pushed since the last
+//! persist, to a write-ahead journal (`journal.cws`, a segment header
+//! plus blocks in the store's encoding) with one `write`, and the events
+//! stay staged. Blocks are still cut as for direct ingest — a node's at
+//! `block_events`, everyone's at `flush` or `seal`, which then truncate
+//! the journal — and a store that persists also flushes once 16,384
+//! events are staged, so a socket server that persists every frame
+//! stores ~16-event blocks instead of one-event ones (perfbench's
+//! `fleet_remote`, `l = 8` in `u8`: 19.6 B per event instead of 73.0;
+//! direct ingest of ~200-event blocks writes 16.3). Neither path
+//! `fsync`s: what a flush or persist wrote survives a process kill, not
+//! a power loss. A store that never persists writes no journal.
+//!
+//! [`SignatureStore::open`] recovers a directory written by a killed
+//! process — a cleanly truncated final segment is cut back to its last
+//! complete block (reported in [`RecoveryReport`]), while CRC corruption
+//! anywhere surfaces [`StoreError::Corrupt`]. A journal is replayed after
+//! the segments: its torn tail is cut, a block whose first window is at
+//! or below its node's newest stored window is dropped (windows rise per
+//! node, and a block cut from staging holds every journaled event of its
+//! node, so that block is already stored), and the rest are written,
+//! bytes unchanged, as a new segment before the journal is removed. A
+//! crash anywhere in that replay repeats cleanly at the next open.
+//! Events are quantized once, in the block they are packed into; an
+//! event a crash leaves in the journal keeps its journal block's
+//! quantization, which can differ from what a read of the staged tail
+//! reported before the crash.
 
 use crate::error::{Result, StoreError};
 use crate::format::{self, BlockRef, Encoding, FileHeader, FILE_HEADER_LEN};
@@ -47,6 +70,14 @@ use std::io::{Read as _, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// File name of the write-ahead journal (see [`SignatureStore::persist`]).
+const JOURNAL_FILE: &str = "journal.cws";
+
+/// Staged events at which [`SignatureStore::persist`] flushes instead
+/// of journaling: 2 MiB of staged `f64` values at `l = 8`. Smaller caps
+/// pack fewer events per block; larger ones cost memory and time.
+const JOURNAL_EVENTS: u64 = 16_384;
 
 /// Write-path configuration.
 #[derive(Debug, Clone, Copy)]
@@ -123,6 +154,9 @@ pub struct StoreStats {
     pub blocks: u64,
     /// Bytes appended to segment files.
     pub bytes_written: u64,
+    /// Bytes appended to the write-ahead journal by
+    /// [`SignatureStore::persist`] (not part of `bytes_written`).
+    pub journal_bytes: u64,
     /// Segments sealed.
     pub segments_sealed: u64,
     /// Segments evicted by retention.
@@ -136,9 +170,13 @@ pub struct StoreStats {
 pub struct RecoveryReport {
     /// Segment files recovered.
     pub segments: usize,
-    /// Events recovered across all segments.
+    /// Events recovered across all segments (`journal_events` included).
     pub events: u64,
-    /// Bytes cut from a cleanly truncated final segment (crash tail).
+    /// Events replayed from the write-ahead journal into a new segment
+    /// (counted in `segments` and `events` too).
+    pub journal_events: u64,
+    /// Bytes cut from a cleanly truncated final segment or journal
+    /// (crash tails).
     pub bytes_truncated: u64,
     /// Useless segment files removed at open: headerless crash leftovers
     /// and header-only segments a previous process never wrote to.
@@ -234,8 +272,24 @@ pub struct SegmentStat {
 struct NodeBuf {
     windows: Vec<u64>,
     values: Vec<f64>,
+    /// Leading staged events already appended to the journal.
+    journaled: usize,
     /// Most recent window accepted for this node (monotonicity guard).
     last_window: Option<u64>,
+}
+
+/// The write-ahead journal of a store that persists (see
+/// [`SignatureStore::persist`]).
+#[derive(Debug, Default)]
+struct Journal {
+    /// `journal.cws`, created by the first persist that has events to log.
+    file: Option<File>,
+    /// Current file length; 0 after a truncation, so the next append
+    /// writes the header first.
+    len: u64,
+    /// Nodes whose first unjournaled event was pushed since the last
+    /// persist (repeats possible; the persist sorts and dedupes).
+    touched: Vec<u32>,
 }
 
 /// Durable, compressed store for fleet signature events. See the module
@@ -276,6 +330,8 @@ pub struct SignatureStore {
     active_file: File,
     node_bufs: Vec<NodeBuf>,
     staged_events: u64,
+    /// `Some` from the first [`SignatureStore::persist`] on.
+    journal: Option<Journal>,
     next_id: u64,
     scratch: Vec<u8>,
     stats: StoreStats,
@@ -382,7 +438,15 @@ impl SignatureStore {
             }
         }
 
-        let next_id = ids.last().map_or(1, |&id| id + 1);
+        let mut next_id = ids.last().map_or(1, |&id| id + 1);
+        if let Some(state) = Self::recover_journal(&dir, next_id, spec, l, &sealed, &mut recovery)?
+        {
+            recovery.segments += 1;
+            recovery.events += state.events;
+            recovery.journal_events = state.events;
+            sealed.push(state);
+            next_id += 1;
+        }
         let (active, active_file) = Self::start_segment(&dir, next_id, spec, l, &cfg)?;
         let mut store = Self {
             dir,
@@ -395,6 +459,7 @@ impl SignatureStore {
             active_file,
             node_bufs: Vec::new(),
             staged_events: 0,
+            journal: None,
             next_id: next_id + 1,
             scratch: Vec::new(),
             stats: StoreStats::default(),
@@ -457,35 +522,8 @@ impl SignatureStore {
         }
         let header = FileHeader::parse(&bytes, path)?;
         Self::check_geometry(&header, path, spec, l)?;
-        let mut entries = Vec::new();
-        let mut events = 0u64;
-        let mut offset = FILE_HEADER_LEN as u64;
-        let mut truncated = 0u64;
-        loop {
-            match format::parse_block(&bytes, offset, &header) {
-                Ok(None) => break,
-                Ok(Some(block)) => {
-                    entries.push(BlockEntry {
-                        node: block.node,
-                        first_window: block.first_window,
-                        last_window: block.last_window_upper_bound,
-                        offset,
-                        len: (block.end - offset) as u32,
-                    });
-                    events += block.count as u64;
-                    offset = block.end;
-                }
-                Err(e) if e.truncated && last => {
-                    // Crash tail: cut the file back to its last complete
-                    // block and keep everything before it.
-                    truncated = bytes.len() as u64 - offset;
-                    let f = std::fs::OpenOptions::new().write(true).open(path)?;
-                    f.set_len(offset)?;
-                    break;
-                }
-                Err(e) => return Err(e.into_store_error(path)),
-            }
-        }
+        let (entries, events, offset) = index_blocks(&bytes, &header, path, last)?;
+        let truncated = bytes.len() as u64 - offset;
         let mut view = None;
         if events > 0 {
             // Persist the freshly built index so the next open takes the
@@ -566,6 +604,70 @@ impl SignatureStore {
         }))
     }
 
+    /// Replays the journal a killed process left behind as segment `id`:
+    /// every whole block not already stored in `sealed`, bytes unchanged,
+    /// under the journal's header. Returns the new segment (`None` when
+    /// nothing was left to replay) once the journal is removed. A crash
+    /// anywhere in here repeats cleanly: the blocks a half-written replay
+    /// segment holds are then dropped as stored.
+    fn recover_journal(
+        dir: &Path,
+        id: u64,
+        spec: WindowSpec,
+        l: usize,
+        sealed: &[SegmentState],
+        recovery: &mut RecoveryReport,
+    ) -> Result<Option<SegmentState>> {
+        let path = dir.join(JOURNAL_FILE);
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut out = Vec::new();
+        if bytes.len() >= FILE_HEADER_LEN {
+            let header = FileHeader::parse(&bytes, &path)?;
+            Self::check_geometry(&header, &path, spec, l)?;
+            let (blocks, _, end) = index_blocks(&bytes, &header, &path, true)?;
+            recovery.bytes_truncated += bytes.len() as u64 - end;
+            let mut nodes: Vec<u32> = blocks.iter().map(|e| e.node).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let newest = newest_windows(sealed, &nodes)?;
+            for entry in blocks {
+                let stored = nodes
+                    .binary_search(&entry.node)
+                    .ok()
+                    .and_then(|i| newest[i])
+                    .is_some_and(|w| entry.first_window <= w);
+                if !stored {
+                    if out.is_empty() {
+                        out.extend_from_slice(&bytes[..FILE_HEADER_LEN]);
+                    }
+                    let at = entry.offset as usize;
+                    out.extend_from_slice(&bytes[at..at + entry.len as usize]);
+                }
+            }
+        } else {
+            // The first append died before its header landed.
+            recovery.bytes_truncated += bytes.len() as u64;
+        }
+        let mut state = None;
+        if !out.is_empty() {
+            let seg_path = segment_path(dir, id);
+            let mut file = std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&seg_path)?;
+            file.write_all(&out)?;
+            drop(file);
+            // Index, cache and map it like any segment found at open.
+            state = Self::recover_segment(dir, &seg_path, id, spec, l, true)?.0;
+        }
+        std::fs::remove_file(&path)?;
+        Ok(state)
+    }
+
     fn start_segment(
         dir: &Path,
         id: u64,
@@ -642,9 +744,15 @@ impl SignatureStore {
         self.recovery.events + self.stats.events - self.stats.events_dropped
     }
 
-    /// Bytes currently on disk across all segments.
+    /// Bytes currently on disk across all segments and the journal.
     pub fn bytes_on_disk(&self) -> u64 {
-        self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.active.bytes
+        self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.active.bytes + self.journal_len()
+    }
+
+    /// Current length of the write-ahead journal (0 for a store that
+    /// never persisted, and after every flush).
+    fn journal_len(&self) -> u64 {
+        self.journal.as_ref().map_or(0, |j| j.len)
     }
 
     /// Per-segment summaries, oldest first (active segment last).
@@ -709,6 +817,11 @@ impl SignatureStore {
                 return Err(StoreError::Invalid(format!(
                     "node {node}: window {window_index} after {last} breaks monotonicity"
                 )));
+            }
+        }
+        if let Some(journal) = &mut self.journal {
+            if buf.windows.len() == buf.journaled {
+                journal.touched.push(node);
             }
         }
         buf.last_window = Some(window_index);
@@ -795,6 +908,7 @@ impl SignatureStore {
             self.stats.blocks += 1;
             buf.windows.clear();
             buf.values.clear();
+            buf.journaled = 0;
         }
         Ok(())
     }
@@ -813,9 +927,10 @@ impl SignatureStore {
 
     /// Writes every staged event to the active segment (possibly as
     /// partial blocks): one block per node, in node order, appended
-    /// with one write. After `flush`, a process kill loses nothing. A
-    /// failed write cuts the file back to its length before the flush,
-    /// so every event stays staged for a retry.
+    /// with one write, then truncates the journal. After `flush`, a
+    /// process kill loses nothing. A failed write cuts the file back to
+    /// its length before the flush, so every event stays staged for a
+    /// retry.
     pub fn flush(&mut self) -> Result<()> {
         self.check_writable()?;
         let first = self.active.entries.len();
@@ -830,6 +945,103 @@ impl SignatureStore {
             self.append_staged(first)?;
         }
         self.active_file.flush()?;
+        let Some(journal) = &mut self.journal else {
+            return Ok(());
+        };
+        // Nothing is staged, so nothing is left to journal.
+        journal.touched.clear();
+        if journal.len > 0 {
+            if let Some(file) = &journal.file {
+                if let Err(e) = file.set_len(0) {
+                    // The journal now repeats blocks the segment holds.
+                    // Refuse further writes, so that the next open,
+                    // which drops them by window, still finds the
+                    // segment that holds them newest.
+                    self.poisoned = true;
+                    return Err(e.into());
+                }
+            }
+            journal.len = 0;
+        }
+        Ok(())
+    }
+
+    /// Makes every event pushed so far survive a process kill, like
+    /// [`SignatureStore::flush`], without cutting blocks: appends one
+    /// block per node, holding the node's events pushed since the last
+    /// `persist`, to the write-ahead journal (`journal.cws`) with one
+    /// write, in node order, and leaves the events staged. Only the
+    /// nodes pushed to since the last `persist` are visited. Once
+    /// 16,384 events are staged it flushes instead. A failed write cuts
+    /// the journal back to its length before the call, so the events
+    /// stay unjournaled for a retry.
+    ///
+    /// [`SignatureStore::open`] replays the journal after a kill and
+    /// tells stored blocks from unstored ones by window: a store that
+    /// persists must keep each node's windows rising across reopens
+    /// too, as a socket server whose dedupe floors are seeded from the
+    /// store does. Like `flush`, `persist` does not `fsync`.
+    pub fn persist(&mut self) -> Result<()> {
+        self.check_writable()?;
+        if self.journal.is_none() {
+            // The first persist logs whatever was staged before it.
+            let touched = (0..self.node_bufs.len() as u32)
+                .filter(|&n| !self.node_bufs[n as usize].windows.is_empty())
+                .collect();
+            self.journal = Some(Journal {
+                touched,
+                ..Journal::default()
+            });
+        }
+        if self.staged_events >= JOURNAL_EVENTS {
+            return self.flush();
+        }
+        let Some(journal) = &mut self.journal else {
+            return Ok(());
+        };
+        journal.touched.sort_unstable();
+        journal.touched.dedup();
+        self.scratch.clear();
+        for &node in &journal.touched {
+            let buf = &self.node_bufs[node as usize];
+            let from = buf.journaled;
+            if buf.windows.len() == from {
+                continue;
+            }
+            if journal.len == 0 && self.scratch.is_empty() {
+                self.active.header.write_to(&mut self.scratch);
+            }
+            format::encode_block(
+                &mut self.scratch,
+                &self.active.header,
+                node,
+                &buf.windows[from..],
+                &buf.values[from * self.dim..],
+            )?;
+        }
+        if !self.scratch.is_empty() {
+            let file = match &mut journal.file {
+                Some(file) => file,
+                None => journal.file.insert(
+                    std::fs::OpenOptions::new()
+                        .append(true)
+                        .create_new(true)
+                        .open(self.dir.join(JOURNAL_FILE))?,
+                ),
+            };
+            if let Err(e) = file.write_all(&self.scratch) {
+                // Cut a torn append back off, as `append_staged` does.
+                self.poisoned = file.set_len(journal.len).is_err();
+                return Err(e.into());
+            }
+            journal.len += self.scratch.len() as u64;
+            self.stats.journal_bytes += self.scratch.len() as u64;
+        }
+        for &node in &journal.touched {
+            let buf = &mut self.node_bufs[node as usize];
+            buf.journaled = buf.windows.len();
+        }
+        journal.touched.clear();
         Ok(())
     }
 
@@ -1235,6 +1447,82 @@ impl SignatureStore {
     }
 }
 
+/// Indexes the blocks of the file image `bytes` of `path` after its
+/// header, returning the entries, their events, and the offset just past
+/// the last whole block. With `last`, a torn final block is a crash tail
+/// and the file is cut back to that offset; damage is an error.
+fn index_blocks(
+    bytes: &[u8],
+    header: &FileHeader,
+    path: &Path,
+    last: bool,
+) -> Result<(Vec<BlockEntry>, u64, u64)> {
+    let mut entries = Vec::new();
+    let mut events = 0u64;
+    let mut offset = FILE_HEADER_LEN as u64;
+    loop {
+        match format::parse_block(bytes, offset, header) {
+            Ok(None) => break,
+            Ok(Some(block)) => {
+                entries.push(BlockEntry {
+                    node: block.node,
+                    first_window: block.first_window,
+                    last_window: block.last_window_upper_bound,
+                    offset,
+                    len: (block.end - offset) as u32,
+                });
+                events += block.count as u64;
+                offset = block.end;
+            }
+            Err(e) if e.truncated && last => {
+                // Crash tail: cut the file back to its last complete
+                // block and keep everything before it.
+                let f = std::fs::OpenOptions::new().write(true).open(path)?;
+                f.set_len(offset)?;
+                break;
+            }
+            Err(e) => return Err(e.into_store_error(path)),
+        }
+    }
+    Ok((entries, events, offset))
+}
+
+/// The newest stored window of each of `nodes` (sorted, deduplicated):
+/// the last window of the node's last block in `segments`, in file
+/// order, decoding only that block. `None` for a node with no block.
+fn newest_windows(segments: &[SegmentState], nodes: &[u32]) -> Result<Vec<Option<u64>>> {
+    let mut newest = vec![None; nodes.len()];
+    let mut left = nodes.len();
+    let (mut windows, mut values) = (Vec::new(), Vec::new());
+    for seg in segments.iter().rev() {
+        let Some(view) = &seg.view else { continue };
+        for entry in seg.entries.iter().rev() {
+            if left == 0 {
+                return Ok(newest);
+            }
+            let Ok(i) = nodes.binary_search(&entry.node) else {
+                continue;
+            };
+            if newest[i].is_some() {
+                continue;
+            }
+            let block = format::parse_block(view.bytes(), entry.offset, &seg.header)
+                .map_err(|e| e.into_store_error(&seg.path))?
+                .ok_or_else(|| StoreError::Corrupt {
+                    path: seg.path.clone(),
+                    offset: entry.offset,
+                    message: "indexed block vanished".into(),
+                })?;
+            windows.clear();
+            values.clear();
+            format::decode_block(&block, &seg.header, &mut windows, &mut values);
+            newest[i] = windows.last().copied();
+            left -= 1;
+        }
+    }
+    Ok(newest)
+}
+
 fn entry_matches(e: &BlockEntry, node: Option<u32>, windows: &Range<u64>) -> bool {
     node.is_none_or(|n| n == e.node)
         && e.first_window < windows.end
@@ -1295,6 +1583,7 @@ impl Observe for SignatureStore {
         out.gauge("cws_store_events", labels, events as f64);
         out.gauge("cws_store_bytes_on_disk", labels, disk as f64);
         out.gauge("cws_store_staged_events", labels, self.staged_events as f64);
+        out.gauge("cws_store_journal_bytes", labels, self.journal_len() as f64);
         out.gauge("cws_store_compression_ratio", labels, ratio);
         out.counter("cws_store_events_total", labels, self.stats.events);
         out.counter("cws_store_blocks_total", labels, self.stats.blocks);
@@ -1317,10 +1606,13 @@ impl Observe for SignatureStore {
 }
 
 impl Drop for SignatureStore {
-    /// Best-effort flush of the staged tail; errors are ignored (call
+    /// Best-effort flush of the staged tail, which also removes an
+    /// emptied journal; errors are ignored (call
     /// [`SignatureStore::flush`] explicitly when durability matters).
     fn drop(&mut self) {
-        let _ = self.flush();
+        if self.flush().is_ok() && self.journal.as_ref().is_some_and(|j| j.file.is_some()) {
+            let _ = std::fs::remove_file(self.dir.join(JOURNAL_FILE));
+        }
     }
 }
 
@@ -1404,6 +1696,75 @@ mod tests {
         for s in snap.samples() {
             assert_eq!(s.labels, vec![("stage".to_string(), "store".to_string())]);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn persist_journals_only_new_events_and_reports_the_journal() {
+        use cwsmooth_obs::Value;
+
+        let dir = tmpdir("persist");
+        let mut store = SignatureStore::open(&dir, spec(), 2, StoreConfig::default()).unwrap();
+        let journal_len = || std::fs::metadata(dir.join(JOURNAL_FILE)).map_or(0, |m| m.len());
+        store.persist().unwrap();
+        assert_eq!(journal_len(), 0, "nothing staged, nothing journaled");
+        assert!(!dir.join(JOURNAL_FILE).exists());
+        for w in 0..3u64 {
+            store.push(w as u32 / 2, w, &sig(2, w as f64)).unwrap();
+        }
+        store.persist().unwrap();
+        let first = journal_len();
+        // Header, then one block per node: node 0 holds two events.
+        let block = |n: usize| format::BLOCK_HEADER_V2_LEN + n * 4 * 8 + 4;
+        assert_eq!(first, (FILE_HEADER_LEN + block(2) + block(1)) as u64);
+        // A persist with nothing new appends nothing; the next one logs
+        // only the event pushed since.
+        store.persist().unwrap();
+        assert_eq!(journal_len(), first);
+        store.push(1, 3, &sig(2, 3.0)).unwrap();
+        store.persist().unwrap();
+        assert_eq!(journal_len(), first + block(1) as u64);
+        assert_eq!(store.stats().journal_bytes, journal_len());
+        assert_eq!((store.stats().blocks, store.staged_events()), (0, 4));
+        assert_eq!(
+            store.bytes_on_disk(),
+            FILE_HEADER_LEN as u64 + journal_len()
+        );
+        let mut snap = Snapshot::new();
+        store.observe(&mut snap);
+        let gauge = snap
+            .samples()
+            .iter()
+            .find(|s| s.name == "cws_store_journal_bytes")
+            .map(|s| s.value.clone());
+        assert_eq!(gauge, Some(Value::Gauge(journal_len() as f64)));
+        // The flush cuts one block per node and truncates the journal.
+        store.flush().unwrap();
+        assert_eq!(journal_len(), 0);
+        assert_eq!(store.stats().blocks, 2);
+        assert_eq!(store.stats().journal_bytes, first + block(1) as u64);
+        drop(store);
+        assert!(!dir.join(JOURNAL_FILE).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn persist_flushes_once_the_journal_cap_is_staged() {
+        let dir = tmpdir("persist-cap");
+        let cfg = StoreConfig::default().with_encoding(Encoding::Quant8);
+        let mut store = SignatureStore::open(&dir, spec(), 1, cfg).unwrap();
+        let nodes = 1024u32;
+        let per_node = JOURNAL_EVENTS / nodes as u64;
+        for w in 0..per_node {
+            for n in 0..nodes {
+                store.push(n, w, &sig(1, w as f64)).unwrap();
+            }
+            store.persist().unwrap();
+        }
+        // The persist that found the cap staged flushed instead.
+        assert_eq!(store.staged_events(), 0);
+        assert_eq!(store.stats().blocks, nodes as u64);
+        assert_eq!(store.bytes_on_disk(), store.active.bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 

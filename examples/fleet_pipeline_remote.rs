@@ -129,8 +129,9 @@ fn run_consumer(dir: &str, port: u16, metrics_port: u16) -> i32 {
     };
     let rec = store.recovery();
     println!(
-        "[consumer] store up: {} events recovered ({} segments, {} bytes crash tail cut)",
-        rec.events, rec.segments, rec.bytes_truncated
+        "[consumer] store up: {} events recovered ({} from the journal, {} segments, \
+         {} bytes crash tail cut)",
+        rec.events, rec.journal_events, rec.segments, rec.bytes_truncated
     );
     let cfg = ServerConfig {
         stop_on_bye: true,
@@ -194,7 +195,12 @@ fn run_consumer(dir: &str, port: u16, metrics_port: u16) -> i32 {
     assert_series(
         exporter.local_addr(),
         "consumer",
-        &["cws_events_total", "cws_acks_total", "cws_store_segments"],
+        &[
+            "cws_events_total",
+            "cws_acks_total",
+            "cws_store_segments",
+            "cws_store_journal_bytes",
+        ],
     );
     // Keep the exporter up for an external scraper (CI) before exiting.
     let hold = hold_ms();
