@@ -275,9 +275,10 @@ fn measure(run: &Run) -> Entries {
     // `instrument` is the observability A/B switch: the same ingest
     // path with the engine wired to a metrics registry (sampled
     // ingest-span histogram + frame/event/gap counters) and every
-    // queue branch keeping live `cws_queue_*` series. The delta over
-    // the bare variant is what the metrics plane costs the ingest
-    // thread per event.
+    // queue branch registered as the source of its `cws_queue_*`
+    // series. A queue branch records nothing on the push path, so the
+    // delta over the bare variant is what the engine's handles cost
+    // the ingest thread per event.
     let queued_sample = |instrument: bool| {
         std::fs::remove_dir_all(&dir).ok();
         let registry = Registry::new();
@@ -399,8 +400,8 @@ fn measure(run: &Run) -> Entries {
         100.0 * (queued_ns / sync_ns - 1.0),
     );
     // The permanent observability gate: metrics-on vs bare ingest. The
-    // instrumented arm pays the sampled span histogram, frame/event/gap
-    // counters, and per-branch queue series on every push.
+    // instrumented arm pays the sampled span histogram and the
+    // frame/event/gap counters; its queue series cost only a scrape.
     results.record(
         "pipeline_instrumented_bare_ingest_kevents_per_s",
         1e6 / queued_ns,

@@ -67,6 +67,13 @@
 //! oldest queued event and counts it ([`QueuePolicy::DropOldest`] —
 //! acquisition never stalls, the telemetry transport posture of
 //! production DAQ systems).
+//!
+//! Every count in [`QueueStats`] lives in the shared state and changes
+//! only under the queue lock that a push or a pop takes anyway, so
+//! [`QueueSink::stats`] reads them as one snapshot. A branch built with
+//! [`QueueSink::with_metrics`] renders that same snapshot on every
+//! scrape of its registry: the push path is the same with or without
+//! metrics, and queue conservation holds on `/metrics` too.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -75,7 +82,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{CoreError, Result};
 use crate::fleet::{FleetEvent, FleetSink};
-use cwsmooth_obs::{Counter, Gauge, Observe, Registry, Snapshot};
+use cwsmooth_obs::Registry;
 
 /// What the producer does when the queue is full.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,7 +123,9 @@ pub struct QueueStats {
     pub pushed: u64,
     /// Events the consumer delivered to the inner sink successfully.
     pub delivered: u64,
-    /// Events evicted under [`QueuePolicy::DropOldest`].
+    /// Events evicted under [`QueuePolicy::DropOldest`], plus the
+    /// backlog an abandoned consumer (see [`QueueSink::join_timeout`])
+    /// discards when it exits.
     pub dropped: u64,
     /// Events waiting in the queue. The event the consumer is handing
     /// to the inner sink counts in `in_flight`, not here, so
@@ -168,8 +177,12 @@ struct State {
     /// `clippy::vec_box` waste).
     #[allow(clippy::vec_box)]
     recycled: Vec<Box<FleetEvent>>,
-    /// Envelopes the inner sink accepted.
+    // The `QueueStats` fields of the same names.
+    pushed: u64,
     delivered: u64,
+    dropped: u64,
+    high_watermark: usize,
+    wakeups: u64,
     /// The consumer has popped an envelope and not yet settled it.
     in_flight: bool,
     /// Producer has stopped pushing; consumer drains and exits.
@@ -199,14 +212,35 @@ impl Shared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The branch's telemetry, every term read in one critical section.
+    fn stats(&self) -> QueueStats {
+        self.stats_of(&self.lock())
+    }
+
+    fn stats_of(&self, state: &State) -> QueueStats {
+        QueueStats {
+            pushed: state.pushed,
+            delivered: state.delivered,
+            dropped: state.dropped,
+            depth: state.queue.len(),
+            in_flight: usize::from(state.in_flight),
+            high_watermark: state.high_watermark,
+            capacity: self.capacity,
+            wakeups: state.wakeups,
+        }
+    }
+
     /// Tells the consumer the producer is done — and, with `abandon`,
-    /// to stop delivering — waking it if it waits for events.
-    fn stop(&self, abandon: bool) {
+    /// to stop delivering — waking it if it waits for events. Returns
+    /// the branch's telemetry as of that moment.
+    fn stop(&self, abandon: bool) -> QueueStats {
         let mut state = self.lock();
         state.done = true;
         state.abandoned |= abandon;
+        let stats = self.stats_of(&state);
         drop(state);
         self.not_empty.notify_one();
+        stats
     }
 }
 
@@ -258,43 +292,6 @@ pub struct QueueSink<S> {
     #[allow(clippy::vec_box)]
     pool: Vec<Box<FleetEvent>>,
     policy: QueuePolicy,
-    /// Producer-side telemetry: this handle is the queue's only pusher
-    /// and its only evictor, so these are plain fields.
-    pushed: u64,
-    dropped: u64,
-    high_watermark: usize,
-    wakeups: u64,
-    /// Live registry handles ([`QueueSink::with_metrics`]); `None`
-    /// keeps the push path free of metric stores.
-    metrics: Option<QueueMetrics>,
-    /// How much of `pushed` has been flushed into the live counter —
-    /// the registry refresh is batched (see `METRICS_REFRESH_EVERY`),
-    /// not per push.
-    pushed_flushed: u64,
-    /// The `queue` label value this branch reports under.
-    label: String,
-}
-
-/// How many pushes between refreshes of the live registry series. The
-/// producer keeps its exact telemetry in plain fields and mirrors them
-/// into the shared handles once per batch (plus an exact flush at
-/// join), so the steady-state push path pays the atomic stores on one
-/// push in `METRICS_REFRESH_EVERY` instead of all of them. A scraper
-/// therefore sees counters/gauges that trail the truth by at most one
-/// batch while the producer is mid-stream.
-const METRICS_REFRESH_EVERY: u64 = 64;
-
-/// Producer-side registry handles: mirrored from the plain telemetry
-/// fields every `METRICS_REFRESH_EVERY` pushes (and exactly at
-/// join), so a scraper sees near-live depth and watermark without the
-/// producer paying shared stores on every push.
-#[derive(Debug)]
-struct QueueMetrics {
-    pushed: Counter,
-    dropped: Counter,
-    wakeups: Counter,
-    depth: Gauge,
-    high_watermark: Gauge,
 }
 
 impl<S: FleetSink + Send + 'static> QueueSink<S> {
@@ -307,53 +304,16 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
     /// Spawns a consumer thread for `inner` with an explicit capacity
     /// and full-queue policy.
     pub fn with_config(inner: S, config: QueueConfig) -> Self {
-        Self::build(inner, config, None, "queue".to_string())
-    }
-
-    /// [`QueueSink::with_config`] wired to a metrics registry: the
-    /// branch registers `cws_queue_*` series under `queue="<label>"`
-    /// and keeps them live — the push counter and depth/watermark
-    /// gauges refreshed by the producer once per
-    /// `METRICS_REFRESH_EVERY` pushes (relaxed stores on
-    /// pre-registered handles: no allocation, amortised to a fraction
-    /// of a store per push), the wakeup counter bumped with each wake
-    /// the producer sends, the delivered counter bumped by the
-    /// consumer thread as it feeds the inner sink. The handles outlive
-    /// the sink and are flushed exactly at join, so the series read the
-    /// true totals after [`QueueSink::join`].
-    pub fn with_metrics(inner: S, config: QueueConfig, registry: &Registry, label: &str) -> Self {
-        let labels = &[("queue", label)];
-        let metrics = QueueMetrics {
-            pushed: registry.counter("cws_queue_pushed_total", labels),
-            dropped: registry.counter("cws_queue_dropped_total", labels),
-            wakeups: registry.counter("cws_queue_wakeups_total", labels),
-            depth: registry.gauge("cws_queue_depth", labels),
-            high_watermark: registry.gauge("cws_queue_high_watermark", labels),
-        };
-        let delivered = registry.counter("cws_queue_delivered_total", labels);
-        let sink = Self::build(inner, config, Some((metrics, delivered)), label.to_string());
-        registry
-            .gauge("cws_queue_capacity", labels)
-            .set(sink.shared.capacity as u64);
-        sink
-    }
-
-    fn build(
-        inner: S,
-        config: QueueConfig,
-        metrics: Option<(QueueMetrics, Counter)>,
-        label: String,
-    ) -> Self {
-        let (metrics, delivered) = match metrics {
-            Some((m, d)) => (Some(m), Some(d)),
-            None => (None, None),
-        };
         let capacity = config.capacity.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::with_capacity(capacity),
                 recycled: Vec::new(),
+                pushed: 0,
                 delivered: 0,
+                dropped: 0,
+                high_watermark: 0,
+                wakeups: 0,
                 in_flight: false,
                 done: false,
                 abandoned: false,
@@ -366,7 +326,7 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
         let worker_shared = Arc::clone(&shared);
         let handle = thread::Builder::new()
             .name("cwsmooth-queue".into())
-            .spawn(move || consumer_loop(&worker_shared, inner, delivered))
+            .spawn(move || consumer_loop(&worker_shared, inner))
             // lint:allow(no-panic-paths): failing to spawn a thread at
             // construction is unrecoverable resource exhaustion, not a
             // data-path error the sink contract covers.
@@ -376,37 +336,48 @@ impl<S: FleetSink + Send + 'static> QueueSink<S> {
             handle: Some(handle),
             pool: Vec::new(),
             policy: config.policy,
-            pushed: 0,
-            dropped: 0,
-            high_watermark: 0,
-            wakeups: 0,
-            metrics,
-            pushed_flushed: 0,
-            label,
         }
+    }
+
+    /// [`QueueSink::with_config`] wired to a metrics registry: the
+    /// branch registers a source (see [`Registry::source`]) that
+    /// renders [`QueueSink::stats`] as the `cws_queue_*` series under
+    /// `queue="<label>"` on every scrape. Nothing is recorded on the
+    /// push path. The registry keeps the branch's counters after
+    /// [`QueueSink::join`], so a later scrape reads its final totals,
+    /// until a branch registered under the same label replaces them.
+    pub fn with_metrics(inner: S, config: QueueConfig, registry: &Registry, label: &str) -> Self {
+        let sink = Self::with_config(inner, config);
+        let shared = Arc::clone(&sink.shared);
+        let owned = label.to_string();
+        registry.source("cws_queue", &[("queue", label)], move |out| {
+            let stats = shared.stats();
+            let labels = &[("queue", owned.as_str())];
+            out.counter("cws_queue_pushed_total", labels, stats.pushed);
+            out.counter("cws_queue_delivered_total", labels, stats.delivered);
+            out.counter("cws_queue_dropped_total", labels, stats.dropped);
+            out.counter("cws_queue_wakeups_total", labels, stats.wakeups);
+            out.gauge("cws_queue_depth", labels, stats.depth as f64);
+            out.gauge("cws_queue_in_flight", labels, stats.in_flight as f64);
+            out.gauge(
+                "cws_queue_high_watermark",
+                labels,
+                stats.high_watermark as f64,
+            );
+            out.gauge("cws_queue_capacity", labels, stats.capacity as f64);
+        });
+        sink
     }
 }
 
 impl<S> QueueSink<S> {
-    /// Current branch telemetry: `delivered`, `depth` and `in_flight`
-    /// are read in one critical section, and the producer-side fields
-    /// are exact for everything pushed so far. So
-    /// `pushed == delivered + dropped + depth + in_flight` holds on
-    /// every snapshot, mid-run included, until the inner sink fails:
-    /// the event it rejected, and the backlog a failed branch drains,
-    /// are never delivered.
+    /// Current branch telemetry, every field read in one critical
+    /// section. So `pushed == delivered + dropped + depth + in_flight`
+    /// holds on every snapshot, mid-run included, until the inner sink
+    /// fails: the event it rejected, and the backlog a failed branch
+    /// drains, are never delivered.
     pub fn stats(&self) -> QueueStats {
-        let state = self.shared.lock();
-        QueueStats {
-            pushed: self.pushed,
-            delivered: state.delivered,
-            dropped: self.dropped,
-            depth: state.queue.len(),
-            in_flight: usize::from(state.in_flight),
-            high_watermark: self.high_watermark,
-            capacity: self.shared.capacity,
-            wakeups: self.wakeups,
-        }
+        self.shared.stats()
     }
 
     /// Signals end-of-stream, waits for the consumer to drain the queue,
@@ -431,21 +402,18 @@ impl<S> QueueSink<S> {
     /// reported in [`QueueStats::depth`] (and the event the inner sink
     /// is stuck on in [`QueueStats::in_flight`]) rather than silently
     /// waited out. Events already handed to the inner sink are not rolled
-    /// back; abandoned queued events are dropped undelivered.
+    /// back; abandoned queued events are dropped undelivered, and once
+    /// the thread exits they count in `dropped` (what a registry scrape
+    /// of a [`QueueSink::with_metrics`] branch then reads).
     pub fn join_timeout(mut self, timeout: Duration) -> (Option<S>, QueueStats, Result<()>) {
         self.shared.stop(false);
         let deadline = Instant::now() + timeout;
         while self.handle.as_ref().is_some_and(|h| !h.is_finished()) {
             if Instant::now() >= deadline {
-                self.shared.stop(true);
+                let stats = self.shared.stop(true);
                 // Detach: the wedged thread exits on its own whenever
                 // the inner sink unblocks.
                 self.handle = None;
-                // The producer is done pushing even on this path: make
-                // the live series reflect the exact pushed total and
-                // the undrained backlog.
-                let stats = self.stats();
-                self.refresh_metrics(stats.depth);
                 let err = CoreError::Persist(format!(
                     "queue consumer failed to drain within {timeout:?} \
                      ({} events still queued)",
@@ -458,18 +426,6 @@ impl<S> QueueSink<S> {
         let inner = self.shutdown();
         let result = self.latched_result();
         (inner, self.stats(), result)
-    }
-
-    /// Mirrors the producer's exact plain-field telemetry into the
-    /// live registry handles: counter delta for `pushed`, gauge stores
-    /// for `depth` and the watermark. No-op without metrics.
-    fn refresh_metrics(&mut self, depth: usize) {
-        if let Some(m) = &self.metrics {
-            m.pushed.add(self.pushed - self.pushed_flushed);
-            self.pushed_flushed = self.pushed;
-            m.depth.set(depth as u64);
-            m.high_watermark.set(self.high_watermark as u64);
-        }
     }
 
     /// The first consumer-side error, unless a push already surfaced it.
@@ -488,9 +444,6 @@ impl<S> QueueSink<S> {
         // lint:allow(no-panic-paths): a panicking consumer is a bug in
         // the inner sink; propagating the panic beats swallowing it.
         let inner = handle.join().expect("queue consumer thread panicked");
-        // Final flush: exact pushed/watermark totals, and the depth the
-        // consumer left behind — it drained the queue before exiting.
-        self.refresh_metrics(0);
         Some(inner)
     }
 
@@ -505,9 +458,9 @@ impl<S> QueueSink<S> {
         self.pool.pop().unwrap_or_default()
     }
 
-    /// Enqueues `buf` under the configured full-queue policy. On
-    /// success updates push telemetry; on failure (the consumer's inner
-    /// sink errored) returns the latched error.
+    /// Enqueues `buf` under the configured full-queue policy, counting
+    /// it in the same critical section. On failure (the consumer's
+    /// inner sink errored) returns the latched error.
     fn enqueue(&mut self, buf: Box<FleetEvent>) -> Result<()> {
         let shared = &*self.shared;
         let mut state = shared.lock();
@@ -533,18 +486,17 @@ impl<S> QueueSink<S> {
                 }
                 QueuePolicy::DropOldest => {
                     if let Some(evicted) = state.queue.pop_front() {
-                        self.dropped += 1;
-                        if let Some(m) = &self.metrics {
-                            m.dropped.inc();
-                        }
+                        state.dropped += 1;
                         self.pool.push(evicted);
                     }
                 }
             }
         }
         state.queue.push_back(buf);
-        let depth = state.queue.len();
+        state.pushed += 1;
+        state.high_watermark = state.high_watermark.max(state.queue.len());
         let wake = std::mem::take(&mut state.consumer_waiting);
+        state.wakeups += u64::from(wake);
         // Refill while the lock is held anyway, so the next envelope()
         // rarely has to take it.
         if self.pool.is_empty() {
@@ -552,43 +504,9 @@ impl<S> QueueSink<S> {
         }
         drop(state);
         if wake {
-            self.wakeups += 1;
-            if let Some(m) = &self.metrics {
-                m.wakeups.inc();
-            }
             shared.not_empty.notify_one();
         }
-        self.pushed += 1;
-        self.high_watermark = self.high_watermark.max(depth);
-        if self.metrics.is_some() && self.pushed - self.pushed_flushed >= METRICS_REFRESH_EVERY {
-            // Batched refresh of the live series (relaxed stores on
-            // pre-registered handles: no allocation).
-            self.refresh_metrics(depth);
-        }
         Ok(())
-    }
-}
-
-/// Snapshot-style export of [`QueueSink::stats`] — for branches not
-/// constructed through [`QueueSink::with_metrics`], or for publishing
-/// through a [`cwsmooth_obs::MetricsHub`]. Don't do both for the same
-/// branch: the live handles and this snapshot emit the same series
-/// names and would render duplicates.
-impl<S> Observe for QueueSink<S> {
-    fn observe(&self, out: &mut Snapshot) {
-        let stats = self.stats();
-        let labels = &[("queue", self.label.as_str())];
-        out.counter("cws_queue_pushed_total", labels, stats.pushed);
-        out.counter("cws_queue_delivered_total", labels, stats.delivered);
-        out.counter("cws_queue_dropped_total", labels, stats.dropped);
-        out.counter("cws_queue_wakeups_total", labels, stats.wakeups);
-        out.gauge("cws_queue_depth", labels, stats.depth as f64);
-        out.gauge(
-            "cws_queue_high_watermark",
-            labels,
-            stats.high_watermark as f64,
-        );
-        out.gauge("cws_queue_capacity", labels, stats.capacity as f64);
     }
 }
 
@@ -614,7 +532,7 @@ impl<S> Drop for QueueSink<S> {
 /// The consumer thread: pops envelopes, feeds the inner sink, recycles
 /// the envelopes, and exits once the producer is done and the queue is
 /// drained. Returns the inner sink to the joiner.
-fn consumer_loop<S: FleetSink>(shared: &Shared, mut inner: S, delivered: Option<Counter>) -> S {
+fn consumer_loop<S: FleetSink>(shared: &Shared, mut inner: S) -> S {
     // The envelope handled last and whether the inner sink accepted it,
     // settled in the same critical section as the next pop.
     let mut spent: Option<(Box<FleetEvent>, bool)> = None;
@@ -631,12 +549,7 @@ fn consumer_loop<S: FleetSink>(shared: &Shared, mut inner: S, delivered: Option<
         let mut accepted = false;
         if !failed {
             match inner.on_event(&buf) {
-                Ok(()) => {
-                    accepted = true;
-                    if let Some(counter) = &delivered {
-                        counter.inc();
-                    }
-                }
+                Ok(()) => accepted = true,
                 Err(err) => {
                     let message = err.to_string();
                     shared.lock().failure.get_or_insert(Failure {
@@ -673,15 +586,18 @@ fn next_envelope<'a>(
 ) -> Option<(Box<FleetEvent>, bool)> {
     let mut step = 0;
     loop {
-        if state.abandoned {
+        if state.abandoned || (state.done && state.queue.is_empty()) {
+            // A registry may keep `shared` for the final totals: free
+            // the envelopes and keep the counts, an abandoned backlog
+            // as dropped.
+            state.dropped += state.queue.len() as u64;
+            state.queue = VecDeque::new();
+            state.recycled = Vec::new();
             return None;
         }
         if let Some(buf) = state.queue.pop_front() {
             state.in_flight = true;
             return Some((buf, state.failure.is_some()));
-        }
-        if state.done {
-            return None;
         }
         if step < SPIN_STEPS + YIELD_STEPS {
             drop(state);
@@ -840,6 +756,7 @@ mod tests {
             thread::yield_now();
         }
 
+        let shared = Arc::clone(&sink.shared);
         let t0 = Instant::now();
         let (inner, stats, res) = sink.join_timeout(Duration::from_millis(50));
         assert!(t0.elapsed() < Duration::from_secs(10), "must not hang");
@@ -856,10 +773,19 @@ mod tests {
         *lock.lock().unwrap() = true;
         cv.notify_all();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while seen.load(Ordering::Relaxed) > 1 && Instant::now() < deadline {
+        while Arc::strong_count(&shared) > 1 && Instant::now() < deadline {
             thread::yield_now();
         }
+        assert_eq!(Arc::strong_count(&shared), 1, "the consumer exits");
         assert_eq!(seen.load(Ordering::Relaxed), 1, "backlog must be dropped");
+        // The exited consumer counted the backlog as dropped and freed
+        // every envelope.
+        let after = shared.stats();
+        assert_eq!(after.delivered, 1);
+        assert_eq!(after.dropped, stats.depth as u64);
+        assert_eq!(after.depth + after.in_flight, 0);
+        let state = shared.lock();
+        assert_eq!(state.queue.capacity() + state.recycled.capacity(), 0);
     }
 
     #[test]
@@ -924,7 +850,7 @@ mod tests {
 
     #[test]
     fn with_metrics_keeps_registry_series_live() {
-        use cwsmooth_obs::Value;
+        use cwsmooth_obs::{Observe, Snapshot, Value};
 
         let registry = Registry::new();
         let mut sink = QueueSink::with_metrics(
@@ -939,23 +865,33 @@ mod tests {
         for i in 0..40 {
             sink.on_event(&event(i % 2, i / 2)).unwrap();
         }
-        // The snapshot path mirrors stats() one sample per exported
-        // field (`in_flight` is not exported).
+        // A scrape renders one sample per field of stats().
         let mut snap = Snapshot::new();
-        sink.observe(&mut snap);
-        assert_eq!(snap.samples().len(), 7);
+        registry.observe(&mut snap);
+        assert_eq!(snap.samples().len(), 8);
         assert!(snap
             .samples()
             .iter()
             .all(|s| s.labels == vec![("queue".to_string(), "test".to_string())]));
 
-        let wakeups = sink.stats().wakeups;
+        // Only a push moves these two, so the pre-join reading is final.
+        let QueueStats {
+            wakeups,
+            high_watermark,
+            ..
+        } = sink.stats();
+        let shared = Arc::clone(&sink.shared);
         let (collect, res) = sink.join();
         res.unwrap();
         assert_eq!(collect.events().len(), 40);
+        // The exited consumer freed the envelopes the registry would
+        // otherwise keep alive.
+        let state = shared.lock();
+        assert_eq!(state.queue.capacity() + state.recycled.capacity(), 0);
+        drop(state);
 
-        // The live handles outlive the sink: a post-join scrape of the
-        // registry sees the final totals.
+        // The registry keeps the branch's counts: a post-join scrape
+        // sees the final totals.
         let mut live = Snapshot::new();
         registry.observe(&mut live);
         let value = |name: &str| {
@@ -971,6 +907,12 @@ mod tests {
             value("cws_queue_wakeups_total"),
             Some(Value::Counter(wakeups))
         );
+        assert_eq!(
+            value("cws_queue_high_watermark"),
+            Some(Value::Gauge(high_watermark as f64))
+        );
+        assert_eq!(value("cws_queue_depth"), Some(Value::Gauge(0.0)));
+        assert_eq!(value("cws_queue_in_flight"), Some(Value::Gauge(0.0)));
         assert_eq!(value("cws_queue_capacity"), Some(Value::Gauge(8.0)));
     }
 

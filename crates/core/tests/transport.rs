@@ -12,9 +12,11 @@
 //!   overflow (consumer gated, queue filled, evictions counted one by
 //!   one);
 //! * a consumer that drains a burst backs off before it parks, so a
-//!   burst costs about one wakeup, not one per event.
+//!   burst costs about one wakeup, not one per event;
+//! * every scrape of a [`QueueSink::with_metrics`] branch's registry,
+//!   taken while it runs, conserves events under both policies.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,6 +27,7 @@ use cwsmooth_core::pipeline::{Collect, Tee};
 use cwsmooth_core::transport::{QueueConfig, QueuePolicy, QueueSink};
 use cwsmooth_data::WindowSpec;
 use cwsmooth_linalg::Matrix;
+use cwsmooth_obs::{Observe, Registry, Snapshot, Value};
 
 const NODES: usize = 9;
 const SENSORS: usize = 4;
@@ -339,4 +342,119 @@ fn bursts_into_a_fast_consumer_wake_it_about_once_per_burst() {
         "{} wakeups for {events} events in {BURSTS} bursts",
         stats.wakeups
     );
+}
+
+/// Spins a little per event, so the producer outruns it and the queue
+/// fills, blocks or drops.
+struct Slow;
+
+impl FleetSink for Slow {
+    fn on_event(&mut self, _event: &FleetEvent) -> Result<()> {
+        for _ in 0..200 {
+            std::hint::spin_loop();
+        }
+        Ok(())
+    }
+}
+
+/// One registry scrape's `cws_queue_*` terms, or a description of what
+/// broke `pushed == delivered + dropped + depth + in_flight`.
+fn check_scrape(registry: &Registry) -> std::result::Result<[u64; 5], String> {
+    let mut snap = Snapshot::new();
+    registry.observe(&mut snap);
+    let mut terms = [0u64; 5];
+    let names = [
+        "pushed_total",
+        "delivered_total",
+        "dropped_total",
+        "depth",
+        "in_flight",
+    ];
+    for (term, name) in terms.iter_mut().zip(names) {
+        let name = format!("cws_queue_{name}");
+        *term = match snap.samples().iter().find(|s| s.name == name) {
+            Some(s) => match s.value {
+                Value::Counter(v) => v,
+                Value::Gauge(v) => v as u64,
+                Value::Histogram(_) => return Err(format!("{name} is a histogram")),
+            },
+            None => return Err(format!("{name} missing")),
+        };
+    }
+    let [pushed, delivered, dropped, depth, in_flight] = terms;
+    if pushed == delivered + dropped + depth + in_flight {
+        Ok(terms)
+    } else {
+        Err(format!(
+            "pushed {pushed} != delivered {delivered} + dropped {dropped} \
+             + depth {depth} + in_flight {in_flight}"
+        ))
+    }
+}
+
+#[test]
+fn every_scrape_of_a_running_branch_conserves_events() {
+    const MIN_SCRAPES: u64 = 1_000;
+    for policy in [QueuePolicy::Block, QueuePolicy::DropOldest] {
+        let registry = Registry::new();
+        let config = QueueConfig {
+            capacity: 64,
+            policy,
+        };
+        let mut queue = QueueSink::with_metrics(Slow, config, &registry, "probe");
+        let running = Arc::new(AtomicBool::new(true));
+        let scrapes = Arc::new(AtomicU64::new(0));
+        let scraper = {
+            let (running, scrapes) = (Arc::clone(&running), Arc::clone(&scrapes));
+            std::thread::spawn(move || {
+                let mut broken = Vec::new();
+                while running.load(Ordering::Acquire) {
+                    if let Err(why) = check_scrape(&registry) {
+                        broken.push(why);
+                    }
+                    scrapes.fetch_add(1, Ordering::Release);
+                }
+                (registry, broken)
+            })
+        };
+        // Push until the scraper has seen the branch run long enough.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut i = 0;
+        while i < 20_000 || scrapes.load(Ordering::Acquire) < MIN_SCRAPES {
+            let event = FleetEvent {
+                node: i % 5,
+                window_index: i,
+                signature: cwsmooth_core::cs::CsSignature {
+                    re: vec![i as f64],
+                    im: vec![-(i as f64)],
+                },
+            };
+            queue.on_event(&event).unwrap();
+            i += 1;
+            assert!(
+                i % 1024 != 0 || Instant::now() < deadline,
+                "{policy:?}: too few scrapes in 60 s"
+            );
+        }
+        running.store(false, Ordering::Release);
+        let (registry, broken) = scraper.join().unwrap();
+        let mid_run = scrapes.load(Ordering::Acquire);
+        assert!(mid_run >= MIN_SCRAPES);
+        assert!(
+            broken.is_empty(),
+            "{policy:?}: {} of {mid_run} mid-run scrapes broke conservation, first: {}",
+            broken.len(),
+            broken[0]
+        );
+        let (_, res) = queue.join();
+        res.unwrap();
+        // After the join the registry still reads the final totals.
+        let [pushed, delivered, dropped, depth, in_flight] = check_scrape(&registry).unwrap();
+        assert_eq!(pushed, i as u64);
+        assert_eq!((depth, in_flight), (0, 0));
+        match policy {
+            QueuePolicy::Block => assert_eq!((delivered, dropped), (pushed, 0)),
+            QueuePolicy::DropOldest => assert!(dropped > 0, "premise: the queue overflowed"),
+        }
+    }
 }

@@ -28,12 +28,20 @@
 //!
 //! ## Consistency model
 //!
-//! Recording is `Relaxed` throughout: each series is an independent
-//! scalar with no ordering obligation to any other. A scrape is a
-//! *sampled* view — counters that one thread bumped "together" may be
+//! Handles record `Relaxed`: each handle series is an independent
+//! scalar with no ordering obligation to any other, so a scrape
+//! *samples* them — counters that one thread bumped "together" may be
 //! observed one-updated-one-not. What is guaranteed: no sample is ever
-//! torn within itself, counters are monotone, and a quiescent system
-//! (all recorders joined) snapshots exactly.
+//! torn within itself, a handle's counter is monotone, and a quiescent
+//! system (all recorders joined) snapshots exactly. A counter rendered
+//! by a source or a published snapshot is monotone only while that
+//! source or snapshot lives: one replaced under the same key (a queue
+//! branch rebuilt under its label) starts again from the new
+//! component's counts. Where the docs promise an
+//! identity across series, its terms come from one snapshot: a queue
+//! branch registers a scrape-time source ([`Registry::source`]) that
+//! reads them under the queue's lock, and a [`MetricsHub::publish`]ed
+//! snapshot (the socket client's `NetStats`) is replaced whole.
 //!
 //! ```
 //! use cwsmooth_obs::{MetricsHub, Registry};

@@ -15,7 +15,9 @@
 //! happens-before obligation to any other memory. A scrape may observe
 //! counters mid-update relative to each other; that torn-across-series
 //! view is inherent to sampling live counters and is documented at the
-//! exporter, not papered over with fences on the hot path.
+//! exporter, not papered over with fences on the hot path. Series whose
+//! terms must add up on every scrape come from a scrape-time source
+//! ([`Registry::source`]) that reads them under one lock instead.
 
 use crate::snapshot::{HistogramSnapshot, Observe, Snapshot};
 use std::cell::Cell;
@@ -301,6 +303,8 @@ enum Handle {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
+    /// A scrape-time group of series (see [`Registry::source`]).
+    Source(Arc<dyn Fn(&mut Snapshot) + Send + Sync>),
 }
 
 struct Entry {
@@ -315,7 +319,8 @@ struct RegistryInner {
 }
 
 /// The shared metric registry: names and label sets map to live
-/// handles. Registration is idempotent — asking twice for the same
+/// handles or to scrape-time sources ([`Registry::source`]).
+/// Registration is idempotent — asking twice for the same
 /// `(name, labels)` series returns clones of one underlying metric —
 /// and cheap-but-cold (a mutex and allocation); the returned handles
 /// are the lock-free hot-path objects.
@@ -340,9 +345,13 @@ impl Registry {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn find(entries: &[Entry], name: &str, labels: &[(&str, &str)]) -> Option<Handle> {
+    fn find<'a>(
+        entries: &'a mut [Entry],
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<&'a mut Handle> {
         entries
-            .iter()
+            .iter_mut()
             .find(|e| {
                 e.name == name
                     && e.labels.len() == labels.len()
@@ -351,7 +360,7 @@ impl Registry {
                         .zip(labels)
                         .all(|((k0, v0), (k1, v1))| k0 == k1 && v0 == v1)
             })
-            .map(|e| e.handle.clone())
+            .map(|e| &mut e.handle)
     }
 
     fn own_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -366,8 +375,8 @@ impl Registry {
     /// detached counter is returned instead of corrupting the series.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let mut entries = self.entries();
-        match Self::find(&entries, name, labels) {
-            Some(Handle::Counter(c)) => c,
+        match Self::find(&mut entries, name, labels) {
+            Some(Handle::Counter(c)) => c.clone(),
             Some(_) => Counter::new(),
             None => {
                 let c = Counter::new();
@@ -385,8 +394,8 @@ impl Registry {
     /// [`Registry::counter`] for the idempotence rules).
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let mut entries = self.entries();
-        match Self::find(&entries, name, labels) {
-            Some(Handle::Gauge(g)) => g,
+        match Self::find(&mut entries, name, labels) {
+            Some(Handle::Gauge(g)) => g.clone(),
             Some(_) => Gauge::new(),
             None => {
                 let g = Gauge::new();
@@ -404,8 +413,8 @@ impl Registry {
     /// [`Registry::counter`] for the idempotence rules).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let mut entries = self.entries();
-        match Self::find(&entries, name, labels) {
-            Some(Handle::Histogram(h)) => h,
+        match Self::find(&mut entries, name, labels) {
+            Some(Handle::Histogram(h)) => h.clone(),
             Some(_) => Histogram::new(),
             None => {
                 let h = Histogram::new();
@@ -419,12 +428,39 @@ impl Registry {
         }
     }
 
-    /// Registered series count.
+    /// Registers `source` as a scrape-time group of series keyed by
+    /// `(name, labels)`: every [`Observe::observe`] of the registry
+    /// calls it to append its samples. A source that reads all its
+    /// terms under one lock of its own puts them on a scrape as one
+    /// snapshot, which handles bumped one by one cannot. A second
+    /// source under the same key replaces the first, so a component
+    /// rebuilt under the same labels renders once; a key that holds a
+    /// counter, gauge or histogram is left as it is.
+    pub fn source(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        source: impl Fn(&mut Snapshot) + Send + Sync + 'static,
+    ) {
+        let handle = Handle::Source(Arc::new(source));
+        let mut entries = self.entries();
+        match Self::find(&mut entries, name, labels) {
+            Some(old) if matches!(old, Handle::Source(_)) => *old = handle,
+            Some(_) => {}
+            None => entries.push(Entry {
+                name: name.to_string(),
+                labels: Self::own_labels(labels),
+                handle,
+            }),
+        }
+    }
+
+    /// Registered series and sources.
     pub fn len(&self) -> usize {
         self.entries().len()
     }
 
-    /// Whether no series are registered.
+    /// Whether nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.entries().is_empty()
     }
@@ -432,8 +468,8 @@ impl Registry {
 
 impl Observe for Registry {
     fn observe(&self, out: &mut Snapshot) {
-        let entries = self.entries();
-        for e in entries.iter() {
+        let mut sources = Vec::new();
+        for e in self.entries().iter() {
             let labels: Vec<(&str, &str)> = e
                 .labels
                 .iter()
@@ -443,7 +479,13 @@ impl Observe for Registry {
                 Handle::Counter(c) => out.counter(&e.name, &labels, c.get()),
                 Handle::Gauge(g) => out.gauge(&e.name, &labels, g.get() as f64),
                 Handle::Histogram(h) => out.histogram(&e.name, &labels, h.snapshot()),
+                Handle::Source(s) => sources.push(Arc::clone(s)),
             }
+        }
+        // A source takes its component's own lock: call it with the
+        // registry's released, so no other lock is ever taken under it.
+        for source in sources {
+            source(out);
         }
     }
 }
@@ -543,6 +585,42 @@ mod tests {
         g.set(9);
         assert_eq!(c.get(), 4, "registered counter untouched");
         assert_eq!(r.len(), 1, "no duplicate series registered");
+    }
+
+    #[test]
+    fn a_source_under_the_same_key_replaces_the_old_one() {
+        let r = Registry::new();
+        r.source("q", &[("queue", "a")], |out| {
+            out.counter("q_total", &[("queue", "a")], 1)
+        });
+        r.source("q", &[("queue", "a")], |out| {
+            out.counter("q_total", &[("queue", "a")], 2)
+        });
+        r.source("q", &[("queue", "b")], |out| {
+            out.counter("q_total", &[("queue", "b")], 3)
+        });
+        r.counter("held", &[]).add(5);
+        r.source("held", &[], |out| out.counter("held", &[], 99));
+        // A source runs with the registry unlocked, so it may use it.
+        let inner = r.clone();
+        r.source("len", &[], move |out| {
+            out.gauge("len", &[], inner.len() as f64)
+        });
+        assert_eq!(r.len(), 4);
+
+        let text = crate::MetricsHub::new(r).render_prometheus();
+        assert_eq!(text.matches("q_total{queue=\"a\"}").count(), 1, "{text}");
+        assert!(
+            text.contains("q_total{queue=\"a\"} 2"),
+            "newest source wins"
+        );
+        assert!(text.contains("q_total{queue=\"b\"} 3"));
+        assert!(
+            text.contains("held 5"),
+            "a counter's key stays the counter's"
+        );
+        assert!(!text.contains("held 99"));
+        assert!(text.contains("len 4"));
     }
 
     #[test]

@@ -21,12 +21,15 @@
 //! is lost, and the final store holds every event exactly once.
 //!
 //! Observability: each side owns a [`Registry`]/[`MetricsHub`] and a
-//! [`MetricsServer`]. The producer's queue and socket publish
-//! `cws_queue_*` / `cws_net_*` series; the consumer's server counts
-//! live (`cws_events_total`, ...) and the store snapshot
-//! (`cws_store_*`) is republished on every commit. Both sides scrape
-//! their own endpoint before exiting and assert the key series, so the
-//! example fails if the metrics plane goes dark.
+//! [`MetricsServer`]. On the producer, every scrape reads the queue's
+//! `cws_queue_*` series from the queue under its lock, and the socket's
+//! `cws_net_*` stats are republished through the hub every 64 events;
+//! the consumer's server counts live (`cws_events_total`, ...) and the
+//! store snapshot (`cws_store_*`) is republished on every commit. Both
+//! sides scrape their own endpoint before exiting and assert the key
+//! series, and the producer checks queue conservation on its final
+//! scrape, so the example fails if the metrics plane goes dark or stops
+//! adding up.
 //!
 //! ```sh
 //! cargo run --release --example fleet_pipeline_remote
@@ -293,14 +296,14 @@ fn main() {
     println!("offline: CS model trained in {:.2?}", t0.elapsed());
 
     // ---- Online: stream windows node-major through queue + socket.
-    // The producer's metrics plane: the queue keeps its `cws_queue_*`
-    // series live on the registry; the socket sink's `cws_net_*` stats
-    // are republished through the hub every 64 delivered events (on the
-    // queue's consumer thread, where the socket lives).
+    // The producer's metrics plane: each scrape reads the queue's
+    // `cws_queue_*` series from the queue under its lock; the socket
+    // sink's `cws_net_*` stats are republished through the hub every 64
+    // delivered events (on the queue's consumer thread, where the socket
+    // lives).
     wait_listening(port);
     let registry = Registry::new();
     let hub = MetricsHub::new(registry.clone());
-    let producer_exporter = bind_exporter(producer_metrics_port, hub.clone(), "producer");
     let t1 = Instant::now();
     let socket = SocketSink::tcp(
         ("127.0.0.1", port),
@@ -309,8 +312,10 @@ fn main() {
         NetConfig::default(),
     )
     .unwrap();
+    let mut published = Publish::new(socket, hub.clone(), "net", 64);
+    published.flush(); // the socket series are there before the 64th event
     let mut sink = QueueSink::with_metrics(
-        Publish::new(socket, hub.clone(), "net", 64),
+        published,
         QueueConfig {
             capacity: 1024,
             policy: QueuePolicy::Block,
@@ -318,6 +323,8 @@ fn main() {
         &registry,
         "wire",
     );
+    // Bound once every series is registered, so no scrape misses one.
+    let producer_exporter = bind_exporter(producer_metrics_port, hub.clone(), "producer");
     let mut streams: Vec<OnlineCs> = (0..nodes)
         .map(|_| OnlineCs::new(cs.clone(), spec()))
         .collect();
@@ -371,25 +378,37 @@ fn main() {
         t1.elapsed()
     );
 
-    // The producer's own metrics plane must show the queue series and
-    // at least one reconnect (the mid-stream kill forces it).
+    // The producer's own metrics plane must show the queue series, a
+    // queue that conserves every event, and at least one reconnect (the
+    // mid-stream kill forces it).
     assert_series(
         producer_exporter.local_addr(),
         "producer",
         &[
             "cws_queue_depth",
+            "cws_queue_in_flight",
             "cws_queue_pushed_total",
             "cws_net_reconnects_total",
             "cws_net_spilled_total",
         ],
     );
     let producer_scrape = scrape(producer_exporter.local_addr(), "/metrics").unwrap();
-    let reconnects: f64 = producer_scrape
-        .lines()
-        .find(|l| l.starts_with("cws_net_reconnects_total"))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .expect("cws_net_reconnects_total value");
+    let value = |name: &str| -> f64 {
+        producer_scrape
+            .lines()
+            .find(|l| l.starts_with(name))
+            .and_then(|l| l.rsplit(' ').next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{name} value"))
+    };
+    let pushed = value("cws_queue_pushed_total");
+    let settled = value("cws_queue_delivered_total")
+        + value("cws_queue_dropped_total")
+        + value("cws_queue_depth")
+        + value("cws_queue_in_flight");
+    assert_eq!(pushed, settled, "queue conservation on the final scrape");
+    assert_eq!(pushed, total as f64, "the queue counted every event");
+    let reconnects = value("cws_net_reconnects_total");
     assert!(
         reconnects >= 1.0,
         "the kill must force at least one reconnect, saw {reconnects}"
